@@ -2,13 +2,6 @@
 and inhomogeneous generation (the paper's primary contribution)."""
 
 from .api import HeightField, SurfaceGenerator, split_result
-from .backend import (
-    ArrayBackend,
-    NumpyBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-)
 from .circulant import (
     CirculantGenerator,
     embedded_covariance,
@@ -130,9 +123,6 @@ __all__ = [
     # FFT engine / plan cache
     "KernelPlan", "KernelPlanCache", "CacheStats", "choose_block_shape",
     "plan_cache",
-    # array backends
-    "ArrayBackend", "NumpyBackend", "get_backend", "register_backend",
-    "available_backends",
     # circulant-embedding oracle
     "CirculantGenerator", "embedded_covariance", "embedding_eigenvalues",
     # inhomogeneous

@@ -55,11 +55,11 @@ from dataclasses import replace
 from typing import Optional, Tuple, Union
 
 import numpy as np
+from scipy import fft as sfft
 from scipy import signal
 
 from .. import obs
-from .api import HeightField, absorb_legacy_positionals, merge_provenance, traced
-from .backend import ArrayBackend, get_backend
+from .api import HeightField, merge_provenance, traced
 from .engine import (
     BatchStats,
     KernelPlanCache,
@@ -226,7 +226,6 @@ def apply_kernel_valid(
     engine: str = "auto",
     cache: Optional[KernelPlanCache] = None,
     dtype=np.float64,
-    backend: Optional[ArrayBackend] = None,
 ) -> np.ndarray:
     """Valid-mode correlation: the core windowed-generation primitive.
 
@@ -250,9 +249,6 @@ def apply_kernel_valid(
         Engine precision (``float64`` default, ``float32`` opt-in):
         noise is coerced once, kernels/plans are rounded once, and the
         output carries the requested dtype with no silent up-casts.
-    backend:
-        Array backend for the FFT engine (default
-        :func:`repro.core.backend.get_backend`\\ ``("numpy")``).
     """
     engine = _check_engine(engine)
     if engine == "auto":
@@ -261,8 +257,7 @@ def apply_kernel_valid(
     if engine == "spatial":
         with obs.trace("conv.spatial"):
             return apply_kernel_valid_spatial(kernel, noise, dtype=dtype)
-    return apply_kernel_valid_fft(kernel, noise, cache=cache, dtype=dtype,
-                                  backend=backend)
+    return apply_kernel_valid_fft(kernel, noise, cache=cache, dtype=dtype)
 
 
 def apply_kernel_valid_spatial(kernel: Kernel, noise: np.ndarray,
@@ -299,7 +294,6 @@ def apply_kernel_valid_fft(
     cache: Optional[KernelPlanCache] = None,
     block_shape: Optional[Tuple[int, int]] = None,
     dtype=np.float64,
-    backend: Optional[ArrayBackend] = None,
 ) -> np.ndarray:
     """Overlap-save FFT evaluation of the valid correlation.
 
@@ -324,9 +318,6 @@ def apply_kernel_valid_fft(
         Engine precision; ``float32`` plans/spectra halve the memory
         traffic (the 4096^2 homogeneous hot path gains >= 1.3x, gated
         in ``benchmarks/check_engine_gate.py``).
-    backend:
-        Array backend supplying ``rfft2``/``irfft2``/``empty``/
-        ``asarray`` (default numpy; see :mod:`repro.core.backend`).
 
     Notes
     -----
@@ -335,7 +326,6 @@ def apply_kernel_valid_fft(
     produce bit-identical output, so all executor backends agree
     exactly.
     """
-    xp = backend if backend is not None else get_backend("numpy")
     dt = check_dtype(dtype)
     noise = _check_valid_shapes(kernel, noise, dt)
     kx, ky = kernel.shape
@@ -354,10 +344,10 @@ def apply_kernel_valid_fft(
             f"block_shape {block_shape} smaller than kernel {kernel.shape}"
         )
     plan = (cache if cache is not None else plan_cache).get_plan(
-        kernel, (bx, by), dt, xp
+        kernel, (bx, by), dt
     )
     factor = kernel.plan_scale  # undoes the plan's normalisation
-    out = xp.empty((onx, ony), dt)
+    out = np.empty((onx, ony), dt)
     step_x = bx - kx + 1
     step_y = by - ky + 1
     for x0 in range(0, onx, step_x):
@@ -366,10 +356,10 @@ def apply_kernel_valid_fft(
             ny_blk = min(step_y, ony - y0)
             seg = noise[x0 : x0 + bx, y0 : y0 + by]
             with obs.trace("engine.fft.forward"):
-                spec = xp.rfft2(seg, s=(bx, by))
+                spec = sfft.rfft2(seg, s=(bx, by))
             spec *= plan.kfft
             with obs.trace("engine.fft.inverse"):
-                conv = xp.irfft2(spec, s=(bx, by))
+                conv = sfft.irfft2(spec, s=(bx, by))
             obs.add("engine.fft.forward_ffts")
             obs.add("engine.fft.inverse_ffts")
             obs.add("engine.fft.blocks")
@@ -482,7 +472,6 @@ def apply_kernels_valid(
     margins: Optional[Tuple[int, int, int, int]] = None,
     stats: Optional[BatchStats] = None,
     dtype=np.float64,
-    backend: Optional[ArrayBackend] = None,
 ) -> "list[Optional[np.ndarray]]":
     """Batched valid correlation: M kernels against one noise window.
 
@@ -512,10 +501,9 @@ def apply_kernels_valid(
     stats:
         Optional :class:`~repro.core.engine.BatchStats` accumulating
         forward/inverse FFT and active/skipped kernel counts.
-    dtype, backend:
-        Engine precision and array backend, as in
-        :func:`apply_kernel_valid`; every kernel of the batch runs at
-        the same precision.
+    dtype:
+        Engine precision, as in :func:`apply_kernel_valid`; every kernel
+        of the batch runs at the same precision.
 
     Returns
     -------
@@ -563,7 +551,7 @@ def apply_kernels_valid(
                                                 (lx, rx, ly, ry))
     return _apply_kernels_valid_fft(kernels, noise, mask, (lx, rx, ly, ry),
                                     cache=cache, block_shape=block_shape,
-                                    stats=stats, backend=backend)
+                                    stats=stats)
 
 
 def _apply_kernels_valid_spatial(
@@ -599,7 +587,6 @@ def _apply_kernels_valid_fft(
     cache: Optional[KernelPlanCache] = None,
     block_shape: Optional[Tuple[int, int]] = None,
     stats: Optional[BatchStats] = None,
-    backend: Optional[ArrayBackend] = None,
 ) -> "list[Optional[np.ndarray]]":
     """Shared-forward overlap-save engine for the batch.
 
@@ -610,7 +597,6 @@ def _apply_kernels_valid_fft(
     to the single-kernel engine's ``kx - 1`` when the margins are that
     kernel's own.
     """
-    xp = backend if backend is not None else get_backend("numpy")
     dt = noise.dtype  # caller coerced; one precision for the whole batch
     lx, rx, ly, ry = margins
     kx_eff = lx + rx + 1
@@ -634,10 +620,10 @@ def _apply_kernels_valid_fft(
         if k.scale == 0.0 or not np.any(k.values):
             outs[m] = np.zeros((onx, ony), dtype=dt)  # flat surface, no plan
             continue
-        outs[m] = xp.empty((onx, ony), dt)
+        outs[m] = np.empty((onx, ony), dt)
         plans.append((
             m,
-            cache.get_plan(k, (bx, by), dt, xp),
+            cache.get_plan(k, (bx, by), dt),
             lx + (k.shape[0] - 1 - k.cx),
             ly + (k.shape[1] - 1 - k.cy),
         ))
@@ -650,7 +636,7 @@ def _apply_kernels_valid_fft(
                 ny_blk = min(step_y, ony - y0)
                 seg = noise[x0 : x0 + bx, y0 : y0 + by]
                 with obs.trace("engine.fft.forward"):
-                    spec = xp.rfft2(seg, s=(bx, by))
+                    spec = sfft.rfft2(seg, s=(bx, by))
                 obs.add("engine.fft.forward_ffts")
                 obs.add("engine.fft.blocks")
                 if stats is not None:
@@ -658,7 +644,7 @@ def _apply_kernels_valid_fft(
                     stats.blocks += 1
                 for m, plan, px, py in plans:
                     with obs.trace("engine.fft.inverse"):
-                        conv = xp.irfft2(spec * plan.kfft, s=(bx, by))
+                        conv = sfft.irfft2(spec * plan.kfft, s=(bx, by))
                     obs.add("engine.fft.inverse_ffts")
                     if stats is not None:
                         stats.inverse_ffts += 1
@@ -682,7 +668,6 @@ def generate_window(
     engine: str = "auto",
     cache: Optional[KernelPlanCache] = None,
     dtype=np.float64,
-    backend: Optional[ArrayBackend] = None,
 ) -> np.ndarray:
     """Generate an arbitrary window of the infinite surface (advantage (a)).
 
@@ -695,7 +680,7 @@ def generate_window(
     wx0, wy0, wnx, wny = noise_window_for(kernel, x0, y0, nx, ny)
     window = noise.window(wx0, wy0, wnx, wny)
     return apply_kernel_valid(kernel, window, engine=engine, cache=cache,
-                              dtype=dtype, backend=backend)
+                              dtype=dtype)
 
 
 def resolve_kernel(
@@ -801,7 +786,7 @@ class ConvolutionGenerator:
     def generate(
         self,
         seed: SeedLike = None,
-        *args,
+        *,
         noise: Optional[np.ndarray] = None,
         boundary: str = "wrap",
         exact: bool = False,
@@ -811,8 +796,7 @@ class ConvolutionGenerator:
         """One realisation on the construction grid.
 
         Unified signature (:mod:`repro.core.api`): everything after
-        ``seed`` is keyword-only; legacy positional calls still work
-        but emit a :class:`DeprecationWarning`.  Returns a
+        ``seed`` is keyword-only.  Returns a
         :class:`~repro.core.api.HeightField` — a drop-in ``ndarray``
         carrying the run's provenance.
 
@@ -829,14 +813,6 @@ class ConvolutionGenerator:
         provenance:
             Extra entries merged into the result's provenance.
         """
-        if args:
-            legacy = absorb_legacy_positionals(
-                "ConvolutionGenerator.generate", args,
-                ("noise", "boundary", "exact"),
-            )
-            noise = legacy.get("noise", noise)
-            boundary = legacy.get("boundary", boundary)
-            exact = legacy.get("exact", exact)
         with traced(self, trace):
             if noise is None:
                 noise = standard_normal_field(self.grid.shape, seed)

@@ -52,13 +52,12 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Hashable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, Sequence, Tuple
 
 import numpy as np
 from scipy import fft as sfft
 
 from .. import obs
-from .backend import ArrayBackend, get_backend
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (weights -> engine)
     from .weights import Kernel
@@ -276,9 +275,8 @@ class KernelPlan:
 
 
 def _build_plan(kernel: "Kernel", block_shape: Tuple[int, int],
-                key: Hashable, dtype: np.dtype = np.dtype(np.float64),
-                backend: Optional[ArrayBackend] = None) -> KernelPlan:
-    xp = backend if backend is not None else get_backend("numpy")
+                key: Hashable, dtype: np.dtype = np.dtype(np.float64)
+                ) -> KernelPlan:
     dtype = check_dtype(dtype)
     kx, ky = kernel.shape
     bx, by = block_shape
@@ -286,14 +284,14 @@ def _build_plan(kernel: "Kernel", block_shape: Tuple[int, int],
         raise ValueError(
             f"FFT block {block_shape} smaller than kernel {kernel.shape}"
         )
-    padded = xp.empty((bx, by), dtype)
+    padded = np.empty((bx, by), dtype)
     padded[:] = 0.0
     # Index flip turns the FFT's circular convolution into the
     # correlation of eqn (36).  A float32 plan rounds the kernel here,
     # once, instead of on every block.
     padded[:kx, :ky] = kernel.values[::-1, ::-1]
     norm = kernel.plan_scale
-    kfft = xp.rfft2(padded)
+    kfft = sfft.rfft2(padded)
     if norm != 1.0:
         kfft /= norm
     return KernelPlan(key=key, block_shape=block_shape,
@@ -327,8 +325,7 @@ class KernelPlanCache:
 
     # ------------------------------------------------------------------
     def get_plan(self, kernel: "Kernel", block_shape: Tuple[int, int],
-                 dtype=np.float64,
-                 backend: Optional[ArrayBackend] = None) -> KernelPlan:
+                 dtype=np.float64) -> KernelPlan:
         """Fetch (or build and cache) the plan for ``(kernel, block, dtype)``.
 
         Identity-keyed kernels that differ only in overall scale map to
@@ -354,7 +351,7 @@ class KernelPlanCache:
             self._misses += 1
             obs.add("engine.plan_cache.misses")
             with obs.trace("engine.plan.build"):
-                plan = _build_plan(kernel, (bx, by), key, dt, backend)
+                plan = _build_plan(kernel, (bx, by), key, dt)
             self._plans[key] = plan
             while len(self._plans) > self._maxsize:
                 self._plans.popitem(last=False)

@@ -42,7 +42,7 @@ import numpy as np
 from .. import obs
 from ..fields.parameter_map import WeightMap
 from ..fields.transition import get_profile
-from .api import absorb_legacy_positionals, merge_provenance, traced
+from .api import merge_provenance, traced
 from .convolution import (
     TruncationSpec,
     _check_engine,
@@ -419,7 +419,7 @@ class InhomogeneousGenerator:
     def generate(
         self,
         seed: SeedLike = None,
-        *args,
+        *,
         noise: Optional[np.ndarray] = None,
         boundary: str = "wrap",
         trace: bool = False,
@@ -431,17 +431,9 @@ class InhomogeneousGenerator:
         transitions); ``boundary`` is handed to each homogeneous
         convolution (see :func:`repro.core.convolution.convolve_spatial`).
         Unified signature (:mod:`repro.core.api`): parameters after
-        ``seed`` are keyword-only, with a deprecation shim for legacy
-        positional calls; ``trace`` opens a ``generator.generate`` span;
+        ``seed`` are keyword-only; ``trace`` opens a ``generator.generate`` span;
         ``provenance`` adds entries to the surface's record.
         """
-        if args:
-            legacy = absorb_legacy_positionals(
-                "InhomogeneousGenerator.generate", args,
-                ("noise", "boundary"),
-            )
-            noise = legacy.get("noise", noise)
-            boundary = legacy.get("boundary", boundary)
         with traced(self, trace):
             return self._generate(seed, noise, boundary, provenance)
 

@@ -37,7 +37,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 from scipy import integrate, signal, special
 
-from .api import HeightField, absorb_legacy_positionals, merge_provenance, traced
+from .api import HeightField, merge_provenance, traced
 from .rng import SeedLike, as_generator, standard_normal_field
 from .spectra import Spectrum
 
@@ -355,23 +355,17 @@ class ProfileGenerator:
         return signal.fftconvolve(padded, self.kernel.values[::-1],
                                   mode="valid")
 
-    def generate(self, seed: SeedLike = None, *args,
+    def generate(self, seed: SeedLike = None, *,
                  noise: Optional[np.ndarray] = None,
                  trace: bool = False,
                  provenance: Optional[dict] = None) -> HeightField:
         """One periodic realisation of length ``n``.
 
         Unified signature (:mod:`repro.core.api`): parameters after
-        ``seed`` are keyword-only (positional ``noise`` still works with
-        a :class:`DeprecationWarning`); returns a
+        ``seed`` are keyword-only; returns a
         :class:`~repro.core.api.HeightField` (an ``ndarray`` carrying
         provenance).
         """
-        if args:
-            legacy = absorb_legacy_positionals(
-                "ProfileGenerator.generate", args, ("noise",)
-            )
-            noise = legacy.get("noise", noise)
         with traced(self, trace):
             if noise is None:
                 noise = standard_normal_field((self.n,), seed)

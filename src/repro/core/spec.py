@@ -2,9 +2,8 @@
 
 Before this module the repo had three divergent descriptions of a
 generation run — CLI argparse namespaces, the ``rebuild`` recipes
-:mod:`repro.jobs` checkpoints, and the dist wire's
-``repro.dist.spec.RunSpec`` — that all said the same thing with
-different spellings.  :class:`GenerationSpec` collapses them: a
+:mod:`repro.jobs` checkpoints, and the dist wire's own run document —
+that all said the same thing with different spellings.  :class:`GenerationSpec` collapses them: a
 versioned (``repro.spec/v1``), JSON-round-trippable, *declarative*
 value that the CLI, the jobs layer, the dist protocol and the
 :mod:`repro.serve` front door all construct and consume.
@@ -42,7 +41,7 @@ __all__ = ["ACCESS_MODES", "SPEC_SCHEMA", "GenerationSpec", "SpecError"]
 #: Schema tag stamped into (and required of) every spec document.
 SPEC_SCHEMA = "repro.spec/v1"
 
-#: Height-delivery modes for distributed execution (see repro.dist.spec).
+#: Height-delivery modes for distributed execution (see repro.dist).
 ACCESS_MODES = ("shared", "ship")
 
 #: Generator recipe kinds understood by repro.jobs.generator_from_rebuild.

@@ -30,7 +30,6 @@ bits.
 from .coordinator import Coordinator
 from .executor import generate_dist
 from .lease import Lease, LeaseLedger
-from .spec import RunSpec
 from .status import STATUS_SCHEMA, RunTracker
 from .worker import run_worker
 
@@ -39,7 +38,6 @@ __all__ = [
     "generate_dist",
     "Lease",
     "LeaseLedger",
-    "RunSpec",
     "RunTracker",
     "STATUS_SCHEMA",
     "run_worker",

@@ -1,9 +1,10 @@
 """The dist worker: a stateless tile computer driven by lease grants.
 
-A worker connects, says hello, receives the :class:`RunSpec`, rebuilds
-the generator from its recipe (the same ``rebuild`` recipes
-:mod:`repro.jobs` checkpoints — values are pure functions of the recipe,
-seed and tile, so any worker anywhere computes identical bytes), then
+A worker connects, says hello, receives the run's
+:class:`~repro.core.spec.GenerationSpec`, rebuilds the generator from
+its recipe (the same ``rebuild`` recipes :mod:`repro.jobs` checkpoints
+— values are pure functions of the recipe, seed and tile, so any
+worker anywhere computes identical bytes), then
 loops: request a lease, compute the tile, deliver the heights, report.
 
 Height delivery follows ``spec.access``: ``shared`` workers open the

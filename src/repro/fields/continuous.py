@@ -27,7 +27,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import obs
-from ..core.api import absorb_legacy_positionals, merge_provenance, traced
+from ..core.api import merge_provenance, traced
 from ..core.convolution import (
     TruncationSpec,
     _check_engine,
@@ -208,7 +208,7 @@ class ContinuousGenerator:
         f_hi = np.take_along_axis(stack, upper[None, ...], axis=0)[0]
         return (w_lo * f_lo + w_hi * f_hi) * h_vals
 
-    def generate(self, seed: SeedLike = None, *args,
+    def generate(self, seed: SeedLike = None, *,
                  noise: Optional[np.ndarray] = None,
                  boundary: str = "wrap",
                  trace: bool = False,
@@ -216,17 +216,10 @@ class ContinuousGenerator:
         """One realisation on the construction grid.
 
         Unified signature (:mod:`repro.core.api`): parameters after
-        ``seed`` are keyword-only (legacy positional calls emit a
-        :class:`DeprecationWarning`); ``trace`` opens a
+        ``seed`` are keyword-only; ``trace`` opens a
         ``generator.generate`` span, ``provenance`` adds entries to the
         surface's record.
         """
-        if args:
-            legacy = absorb_legacy_positionals(
-                "ContinuousGenerator.generate", args, ("noise", "boundary")
-            )
-            noise = legacy.get("noise", noise)
-            boundary = legacy.get("boundary", boundary)
         with traced(self, trace):
             return self._generate(seed, noise, boundary, provenance)
 

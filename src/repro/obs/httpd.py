@@ -16,6 +16,11 @@ long-running job) starts as a daemon thread::
 * ``GET /health``  — ``{"ok": true}`` liveness probe;
 * anything else    — 404.
 
+:func:`exposition_reply` builds those three replies; ``HEAD`` gets the
+``GET`` headers without the body.  The serve front door
+(:mod:`repro.serve.server`) routes the same three paths through it, so
+both servers answer them identically.
+
 Handlers call the snapshot functions on the *serving* thread, so those
 functions must be cheap and internally locked (the coordinator's are).
 Binding to port 0 picks an OS-assigned port, reported by
@@ -34,7 +39,46 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from .export import prometheus_text
 
-__all__ = ["StatusServer"]
+__all__ = ["StatusServer", "exposition_reply"]
+
+JSON_TYPE = "application/json"
+PROMETHEUS_TYPE = "text/plain; version=0.0.4"
+
+
+def _json(doc: Any) -> bytes:
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+def exposition_reply(
+    method: str,
+    path: str,
+    status_fn: Callable[[], Dict[str, Any]],
+    metrics_fn: Callable[[], Mapping[str, Any]],
+    extra_gauges_fn: Optional[Callable[[], Mapping[str, float]]] = None,
+) -> Optional[Tuple[int, str, bytes]]:
+    """``(code, content_type, body)`` for ``/health``, ``/status``, ``/metrics``.
+
+    Returns ``None`` for any other path so the caller can route it.
+    The query string and trailing slashes are ignored; methods other
+    than ``GET``/``HEAD`` get a 405.  A snapshot function that raises
+    becomes a 500 reply instead of taking the server down.
+    """
+    path = path.split("?", 1)[0].rstrip("/") or "/"
+    if path not in ("/health", "/status", "/metrics"):
+        return None
+    if method not in ("GET", "HEAD"):
+        doc = {"error": f"method {method} not allowed", "status": 405}
+        return 405, JSON_TYPE, _json(doc)
+    try:
+        if path == "/health":
+            return 200, JSON_TYPE, _json({"ok": True})
+        if path == "/status":
+            return 200, JSON_TYPE, _json(status_fn())
+        extra = extra_gauges_fn() if extra_gauges_fn is not None else None
+        text = prometheus_text(metrics_fn(), extra_gauges=extra)
+        return 200, PROMETHEUS_TYPE, text.encode()
+    except Exception as exc:  # snapshot bug: report, don't kill serve
+        return 500, JSON_TYPE, _json({"error": repr(exc), "status": 500})
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -45,38 +89,24 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        path = self.path.split("?", 1)[0]
+        reply = exposition_reply(self.command, self.path, self.status_fn,
+                                 self.metrics_fn, self.extra_gauges_fn)
+        if reply is None:
+            path = self.path.split("?", 1)[0]
+            reply = (404, JSON_TYPE,
+                     _json({"error": "not found", "path": path}))
+        code, content_type, body = reply
         try:
-            if path == "/health":
-                self._reply(200, "application/json",
-                            json.dumps({"ok": True}).encode())
-            elif path == "/status":
-                doc = self.status_fn()
-                self._reply(200, "application/json",
-                            json.dumps(doc, indent=2).encode())
-            elif path == "/metrics":
-                extra = (self.extra_gauges_fn()
-                         if self.extra_gauges_fn is not None else None)
-                body = prometheus_text(self.metrics_fn(),
-                                       extra_gauges=extra)
-                self._reply(200, "text/plain; version=0.0.4",
-                            body.encode())
-            else:
-                self._reply(404, "application/json",
-                            json.dumps({"error": "not found",
-                                        "path": path}).encode())
+            self.send_response(code)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            if self.command != "HEAD":
+                self.wfile.write(body)
         except BrokenPipeError:
             pass  # client went away mid-reply; nothing to salvage
-        except Exception as exc:  # snapshot bug: report, don't kill serve
-            self._reply(500, "application/json",
-                        json.dumps({"error": repr(exc)}).encode())
 
-    def _reply(self, code: int, content_type: str, body: bytes) -> None:
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    do_HEAD = do_GET
 
     def log_message(self, fmt: str, *args: Any) -> None:
         pass  # scrapes every few seconds would drown real output

@@ -33,7 +33,6 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.api import absorb_legacy_positionals
 from .kirchhoff import coherent_reflection_coefficient, ka_angular_kernel
 
 __all__ = [
@@ -122,11 +121,11 @@ class ScatteringEnsemble:
 
 def run_ensemble(
     profiles: Sequence[np.ndarray],
-    *legacy: Any,
+    *,
     dx: Optional[float] = None,
-    k: Optional[float] = None,
-    theta_i: Optional[float] = None,
-    theta_s: Optional[np.ndarray] = None,
+    k: float,
+    theta_i: float,
+    theta_s: np.ndarray,
 ) -> ScatteringEnsemble:
     """Amplitude ensemble over a set of generated profiles.
 
@@ -136,18 +135,8 @@ def run_ensemble(
     (the unified generators stamp it), and the first field's provenance
     is carried into the returned ensemble.
 
-    Everything after ``profiles`` is keyword-only; the seed-era
-    positional shape ``run_ensemble(profiles, dx, k, theta_i, theta_s)``
-    still works with a :class:`DeprecationWarning`.
+    Everything after ``profiles`` is keyword-only.
     """
-    if legacy:
-        absorbed = absorb_legacy_positionals(
-            "run_ensemble", legacy, ("dx", "k", "theta_i", "theta_s"),
-        )
-        dx = absorbed.get("dx", dx)
-        k = absorbed.get("k", k)
-        theta_i = absorbed.get("theta_i", theta_i)
-        theta_s = absorbed.get("theta_s", theta_s)
     profiles = list(profiles)
     if not profiles:
         raise ValueError("need at least one profile")
@@ -159,8 +148,6 @@ def run_ensemble(
                 "run_ensemble() requires dx= (the first profile carries "
                 "no provenance to infer it from)"
             )
-    if k is None or theta_i is None or theta_s is None:
-        raise TypeError("run_ensemble() requires k=, theta_i= and theta_s=")
     n = profiles[0].size
     x = np.arange(n) * float(dx)
     taper = tukey_taper(n, 0.5)
@@ -191,10 +178,10 @@ def run_ensemble(
 def coherent_attenuation_curve(
     generate: Callable[[float, int], np.ndarray],
     h_values: Sequence[float],
-    *legacy: Any,
+    *,
     dx: Optional[float] = None,
-    k: Optional[float] = None,
-    theta_i: Optional[float] = None,
+    k: float,
+    theta_i: float,
     n_realisations: int = 24,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Measured vs analytic coherent attenuation over a roughness sweep.
@@ -208,19 +195,8 @@ def coherent_attenuation_curve(
     KA validity check (Thorsos ref [1] uses exactly this
     normalisation).
 
-    Parameters after ``h_values`` are keyword-only; the seed-era
-    positional shape ``(generate, hs, dx, k, theta_i[, m])`` still
-    works with a :class:`DeprecationWarning`.
+    Parameters after ``h_values`` are keyword-only.
     """
-    if legacy:
-        absorbed = absorb_legacy_positionals(
-            "coherent_attenuation_curve", legacy,
-            ("dx", "k", "theta_i", "n_realisations"),
-        )
-        dx = absorbed.get("dx", dx)
-        k = absorbed.get("k", k)
-        theta_i = absorbed.get("theta_i", theta_i)
-        n_realisations = absorbed.get("n_realisations", n_realisations)
     h_values = np.asarray(list(h_values), dtype=float)
     # flat reference (provenance, when present, can supply dx)
     probe = generate(0.0, 0)
@@ -231,10 +207,6 @@ def coherent_attenuation_curve(
                 "coherent_attenuation_curve() requires dx= (the "
                 "generated profiles carry no provenance to infer it)"
             )
-    if k is None or theta_i is None:
-        raise TypeError(
-            "coherent_attenuation_curve() requires k= and theta_i="
-        )
     theta_spec = np.array([theta_i])
     flat = np.asarray(probe, dtype=float) * 0.0
     x = np.arange(flat.size) * float(dx)

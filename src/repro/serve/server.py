@@ -21,6 +21,9 @@ API (all JSON unless noted)::
     GET  /metrics                    Prometheus text
     GET  /health                     liveness
 
+The last three replies come from :func:`repro.obs.httpd.exposition_reply`,
+the builder the coordinator's status server uses too.
+
 Tenancy rides on the ``X-Tenant`` request header (default ``public``);
 exhausted tenants get ``429`` with ``Retry-After``.  Error bodies are
 ``{"error": ..., "status": ...}`` with ``field`` added for spec
@@ -35,7 +38,7 @@ from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
 
 from .. import obs
 from ..core.spec import SpecError
-from ..obs.export import prometheus_text
+from ..obs.httpd import exposition_reply
 from .http import HttpError, Request, parse_range, read_request, response_head
 from .service import SurfaceService, TenantBusy
 
@@ -123,13 +126,15 @@ class ServeServer:
         parts = [p for p in path.split("/") if p]
         handler: Optional[Callable[..., Awaitable[bool]]] = None
         args: tuple = ()
-        if path == "/health":
-            handler = self._h_health
-        elif path == "/status":
-            handler = self._h_status
-        elif path == "/metrics":
-            handler = self._h_metrics
-        elif parts[:2] == ["v1", "jobs"]:
+        reply = exposition_reply(method, path, self.service.status_doc,
+                                 self.service.metrics_doc,
+                                 self.service.extra_gauges)
+        if reply is not None:
+            code, content_type, body = reply
+            return await self._reply(writer, code, body,
+                                     content_type=content_type,
+                                     head_only=method == "HEAD")
+        if parts[:2] == ["v1", "jobs"]:
             rest = parts[2:]
             if not rest:
                 handler = (self._h_submit if method == "POST"
@@ -198,26 +203,6 @@ class ServeServer:
         return request.header("x-tenant") or "public"
 
     # -- handlers ------------------------------------------------------
-
-    async def _h_health(self, request: Request,
-                        writer: asyncio.StreamWriter) -> bool:
-        return await self._reply_json(writer, 200, {"ok": True},
-                                      head_only=request.method == "HEAD")
-
-    async def _h_status(self, request: Request,
-                        writer: asyncio.StreamWriter) -> bool:
-        return await self._reply_json(writer, 200, self.service.status_doc(),
-                                      head_only=request.method == "HEAD")
-
-    async def _h_metrics(self, request: Request,
-                         writer: asyncio.StreamWriter) -> bool:
-        text = prometheus_text(self.service.metrics_doc(),
-                               extra_gauges=self.service.extra_gauges())
-        return await self._reply(
-            writer, 200, text.encode(),
-            content_type="text/plain; version=0.0.4",
-            head_only=request.method == "HEAD",
-        )
 
     async def _h_submit(self, request: Request,
                         writer: asyncio.StreamWriter) -> bool:

@@ -214,24 +214,34 @@ def test_generate_window_accepts_unified_keywords(name):
     assert a.provenance.get("run") == "a", name
 
 
-def test_legacy_positional_generate_warns_but_matches():
-    """Old positional call shapes still work, with a DeprecationWarning."""
+def _positional_extras():
+    """Positional call shapes the keyword-only signatures must refuse."""
     import numpy as np
 
-    from repro.core.api import split_result
+    from repro.propagation.profile import extract_profile
+    from repro.scattering.monte_carlo import (
+        coherent_attenuation_curve,
+        run_ensemble,
+    )
 
-    for name, gen in GENERATORS.items():
-        new = gen.generate(seed=4)
-        with pytest.warns(DeprecationWarning):
-            old = gen.generate(4, None)  # noise positionally, legacy shape
-        assert np.array_equal(split_result(old)[0],
-                              split_result(new)[0]), name
+    calls = {f"{name}.generate": (lambda gen=gen: gen.generate(4, None))
+             for name, gen in GENERATORS.items()}
+    calls["extract_profile"] = lambda: extract_profile(
+        np.zeros((8, 8)), (0.0, 0.0), (4.0, 4.0), 5.0, 5.0)
+    calls["run_ensemble"] = lambda: run_ensemble(
+        [np.zeros(64)], 1.0, 2.0, 0.1, np.array([0.1]))
+    calls["coherent_attenuation_curve"] = lambda: coherent_attenuation_curve(
+        lambda h, seed: np.zeros(64), [0.05], 1.0, 2.0, 0.1, 4)
+    return calls
 
 
-def test_legacy_positional_overflow_rejected():
-    gen = GENERATORS["ConvolutionGenerator"]
-    with pytest.raises(TypeError):
-        gen.generate(4, None, "wrap", False, "surplus")
+POSITIONAL_EXTRAS = _positional_extras()
+
+
+@pytest.mark.parametrize("call", sorted(POSITIONAL_EXTRAS))
+def test_positional_extras_raise_type_error(call):
+    with pytest.raises(TypeError, match="positional"):
+        POSITIONAL_EXTRAS[call]()
 
 
 def test_height_field_behaves_like_ndarray():

@@ -182,15 +182,29 @@ class TestDerivedViews:
         assert gen.spectrum.to_dict()["kind"] == "gaussian"
 
 
-class TestRunSpecShim:
-    def test_runspec_warns_and_delegates(self):
-        from repro.dist.spec import RunSpec
+class TestWireEdges:
+    """The dist welcome frame: delivery modes and malformed payloads."""
 
-        wire = conv_spec(store_path="/s").to_wire()
-        with pytest.warns(DeprecationWarning, match="GenerationSpec"):
-            spec = RunSpec.from_wire(wire)
-        assert spec.noise_seed == 5
-        assert spec.rebuild["kind"] == "convolution"
+    def test_ship_mode_needs_no_store(self):
+        spec = conv_spec(access="ship", faults=[{"tile": 1, "kind": "raise"}])
+        wire = spec.to_wire()
+        assert wire["store_path"] is None
+        assert GenerationSpec.from_wire(wire) == spec
+
+    def test_shared_wire_without_store_refused(self):
+        wire = conv_spec(access="ship").to_wire()
+        wire["access"] = "shared"
+        with pytest.raises(SpecError, match="store_path"):
+            GenerationSpec.from_wire(wire)
+
+    def test_unknown_access_mode(self):
+        with pytest.raises(SpecError) as exc:
+            conv_spec(access="carrier-pigeon", store_path="/s")
+        assert exc.value.field == "access"
+
+    def test_malformed_wire_payload(self):
+        with pytest.raises(SpecError, match="malformed"):
+            GenerationSpec.from_wire({"rebuild": {"kind": "x"}})
 
 
 BASE_FLAGS = [

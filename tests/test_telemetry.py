@@ -34,8 +34,9 @@ from repro.cli import main as cli_main
 from repro.core.convolution import ConvolutionGenerator
 from repro.core.grid import Grid2D
 from repro.core.rng import BlockNoise
+from repro.core.spec import GenerationSpec
 from repro.core.spectra import GaussianSpectrum
-from repro.dist import Coordinator, RunSpec, generate_dist, protocol
+from repro.dist import Coordinator, generate_dist, protocol
 from repro.dist.status import (
     EWMA_ALPHA,
     STALE_HEARTBEATS,
@@ -393,6 +394,43 @@ class TestStatusServer:
             server.stop()
 
 
+@pytest.fixture(scope="module")
+def exposition_servers(tmp_path_factory):
+    """A coordinator-style StatusServer and a live ServeServer."""
+    from repro.serve import ServeConfig
+
+    from .test_serve import _Harness
+
+    status = StatusServer(lambda: {"state": "running"},
+                          lambda: {"counters": {"dist.heartbeats": 1}})
+    host, port = status.start()
+    serve = _Harness(ServeConfig(data_dir=tmp_path_factory.mktemp("serve")))
+    try:
+        yield [f"http://{host}:{port}", serve.url]
+    finally:
+        serve.close()
+        status.stop()
+
+
+@pytest.mark.parametrize("path", ["/health", "/status", "/status/",
+                                  "/metrics"])
+@pytest.mark.parametrize("method", ["GET", "HEAD"])
+def test_both_servers_answer_exposition_paths_alike(exposition_servers,
+                                                    method, path):
+    replies = []
+    for base in exposition_servers:
+        req = urllib.request.Request(base + path, method=method)
+        try:
+            with urllib.request.urlopen(req, timeout=5.0) as resp:
+                replies.append((resp.status,
+                                resp.headers.get("Content-Type")))
+        except urllib.request.HTTPError as exc:
+            with exc:
+                replies.append((exc.code, exc.headers.get("Content-Type")))
+    assert replies[0] == replies[1]
+    assert replies[0][0] == 200
+
+
 # ---------------------------------------------------------------------------
 # live coordinator run: endpoints + events + bit-identity
 # ---------------------------------------------------------------------------
@@ -430,11 +468,11 @@ class TestLiveTelemetry:
         # one delayed tile keeps the run in flight long enough that the
         # mid-run scrapes below observe real progress deterministically
         slow = FaultSpec(tile=15, attempt=1, kind="delay", delay_s=0.5)
-        spec = RunSpec(rebuild=rebuild, noise_seed=21,
-                       plan={"total_nx": 128, "total_ny": 128,
-                             "tile_nx": 32, "tile_ny": 32},
-                       store_path=str(store.path), access="shared",
-                       faults=[slow.to_dict()])
+        spec = GenerationSpec(generator=rebuild, seed=21,
+                              plan={"total_nx": 128, "total_ny": 128,
+                                    "tile_nx": 32, "tile_ny": 32},
+                              store_path=str(store.path), access="shared",
+                              faults=[slow.to_dict()])
         events_dir = os.environ.get("REPRO_EVENT_LOG_DIR", str(tmp_path))
         events_path = os.path.join(events_dir, "telemetry_events.jsonl")
         coord = Coordinator(spec, plan, store, lease_timeout_s=60.0,
