@@ -21,7 +21,7 @@ from repro.core.spectra import (
     GaussianSpectrum,
     PowerLawSpectrum,
 )
-from repro.validation.checks import variance_closure, weight_acf_error
+from repro.verify import variance_closure, weight_acf_error
 
 SPECTRA = {
     "gaussian": GaussianSpectrum(h=1.0, clx=40.0, cly=40.0),

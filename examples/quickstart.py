@@ -23,7 +23,7 @@ from repro import (
 )
 from repro.io import ascii_preview, render_terrain, save_surface
 from repro.stats import estimate_clx, estimate_cly, height_moments
-from repro.validation import weight_acf_error
+from repro.verify import weight_acf_error
 
 OUT = Path(__file__).resolve().parent / "out"
 

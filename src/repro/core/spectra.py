@@ -18,7 +18,7 @@ equivalently :math:`\\rho(\\mathbf{0}) = h^2` for the autocorrelation
 function :math:`\\rho` of eqn (4).  Both ``spectrum`` and
 ``autocorrelation`` are exposed and are *exact Fourier pairs*; this is
 what makes the paper's accuracy check ``DFT(w) ~ rho(r)`` (below eqn 16)
-implementable, see :mod:`repro.validation.checks`.
+implementable, see :mod:`repro.verify.closure`.
 
 A note on the Power-Law pair
 ----------------------------

@@ -19,8 +19,9 @@ layouts, streaming and tiling all work):
 Autocorrelations: rotation and composition inherit closed forms from
 their parts; Pierson-Moskowitz has no elementary closed-form 2D ACF, so
 :meth:`PiersonMoskowitzSpectrum.autocorrelation` evaluates the Fourier
-integral numerically (cached quadrature) — exactly what the validation
-harness needs and nothing more.
+integral numerically (cached quadrature) — exactly what the
+``DFT(w) ~ rho`` closure check (:mod:`repro.verify.closure`) needs and
+nothing more.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ Two DFT identities make this array useful:
 
 * ``DFT(w)[n] ~ rho(r_n)`` — the inverse-transform consistency check the
   paper states below eqn (16); exposed as :func:`weight_autocorrelation`
-  and exercised by :mod:`repro.validation.checks`.
+  and exercised by :mod:`repro.verify.closure`.
 * ``kernel = fftshift(DFT(v)) / sqrt(Nx*Ny)`` is the real-space
   convolution kernel of eqns (34)-(35) normalised so that convolving an
   i.i.d. ``N(0,1)`` noise field with it yields a surface of variance

@@ -108,9 +108,13 @@ def ensemble_spectrum(
 
 def radial_spectrum(
     estimate: np.ndarray, grid: Grid2D, n_bins: int = 48,
-    k_max: Optional[float] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Isotropic radial average ``(K_centres, W(K))`` of a 2D estimate."""
+    k_max: Optional[float] = None, return_counts: bool = False,
+) -> Tuple[np.ndarray, ...]:
+    """Isotropic radial average ``(K_centres, W(K))`` of a 2D estimate.
+
+    With ``return_counts`` a third array holds the number of grid
+    wavevectors averaged in each returned annulus.
+    """
     if estimate.shape != grid.shape:
         raise ValueError("estimate shape mismatch")
     kx, ky = grid.k_meshgrid(signed=True)
@@ -126,6 +130,8 @@ def radial_spectrum(
         profile = sums / counts
     centres = 0.5 * (edges[:-1] + edges[1:])
     valid = counts > 0
+    if return_counts:
+        return centres[valid], profile[valid], counts[valid]
     return centres[valid], profile[valid]
 
 

@@ -6,7 +6,9 @@ Everything in :mod:`repro.verify` consumes surfaces through one seam: a
 in-memory array supplies a slicing closure.  Both paths then execute the
 *identical* accumulation — same windows, same order, same float64 ops —
 so the streamed and in-memory verification metrics agree bit-for-bit
-(the differential suite asserts exactly that).
+(the differential suite asserts exactly that).  An ensemble of
+same-shape surfaces is a sequence of readers: each member runs the same
+window pass and all accumulators pool across members.
 
 The pass tiles the surface into absolute ``segment x segment`` windows
 (row-major, matching :func:`repro.stats.welch_spectrum`'s patch layout)
@@ -17,7 +19,7 @@ is a few windows, independent of the surface size.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -64,7 +66,7 @@ def choose_segment(shape: Tuple[int, int], requested: int | None = None) -> int:
 
 
 def stream_statistics(
-    read: Reader,
+    read: Union[Reader, Sequence[Reader]],
     shape: Tuple[int, int],
     dx: float,
     dy: float,
@@ -80,9 +82,12 @@ def stream_statistics(
     ----------
     read:
         Window reader ``read(x0, y0, nx, ny)`` returning the height
-        window as an array (any float dtype; accumulated in float64).
+        window as an array (any float dtype; accumulated in float64),
+        or a sequence of readers over same-shape surfaces (an ensemble):
+        every member streams through the same windows, in member order,
+        into one set of accumulators.
     shape, dx, dy:
-        Full-surface sample counts and spacings.
+        Sample counts (per member) and spacings.
     segment:
         Welch segment edge (see :func:`choose_segment`).  The analysed
         region is the largest segment-aligned crop; the returned
@@ -98,11 +103,14 @@ def stream_statistics(
         while every accumulated statistic remains an unbiased estimate
         over the sampled windows.  ``n_samples``/``psd_windows`` in the
         result reflect the sampled set; ``windows_total`` records the
-        full count.
+        full count (per member).
 
-    Returns a dict of raw measurements; :mod:`repro.verify.verifier`
-    turns them into gated metrics.
+    Returns a dict of raw measurements (pooled over members);
+    :mod:`repro.verify.verifier` turns them into gated metrics.
     """
+    readers = [read] if callable(read) else list(read)
+    if not readers:
+        raise ValueError("need at least one surface reader")
     nx, ny = int(shape[0]), int(shape[1])
     seg = int(segment)
     stride = int(stride)
@@ -146,11 +154,11 @@ def stream_statistics(
     psd_acc = np.zeros((seg, seg))
     n_windows = 0
 
-    for i in range(0, sx, stride):
-        x0 = i * seg
-        ax = min(halo_x, nx - (x0 + seg))
-        for j in range(0, sy, stride):
-            y0 = j * seg
+    windows = [(i * seg, j * seg)
+               for i in range(0, sx, stride) for j in range(0, sy, stride)]
+    for read in readers:
+        for x0, y0 in windows:
+            ax = min(halo_x, nx - (x0 + seg))
             ay = min(halo_y, ny - (y0 + seg))
             ext = np.asarray(read(x0, y0, seg + ax, seg + ay), dtype=float)
             if ext.shape != (seg + ax, seg + ay):
@@ -228,7 +236,9 @@ def stream_statistics(
         "grad_msq_x": (gx_sumsq / gx_pairs) / (dx * dx) if gx_pairs else float("nan"),
         "grad_msq_y": (gy_sumsq / gy_pairs) / (dy * dy) if gy_pairs else float("nan"),
         "grad_pairs": (gx_pairs, gy_pairs),
+        "acf_lags": lags,
         "acf": acf,
+        "members": len(readers),
         "psd_grid": sub,
         "psd": psd_acc / (n_windows * norm),
         "psd_windows": n_windows,

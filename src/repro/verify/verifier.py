@@ -2,7 +2,8 @@
 
 The verifier runs the single-pass streaming statistics of
 :mod:`repro.verify.streaming` over a surface (memmapped store or
-in-memory array), derives per-metric *targets* from the requested
+in-memory array) or an ensemble of same-shape surfaces, derives
+per-metric *targets* from the requested
 :class:`~repro.core.spectra.Spectrum`, and emits a
 ``repro.verify/v1`` :class:`~repro.verify.report.VerifyReport` with
 explicit tolerances.
@@ -24,8 +25,8 @@ never materialises an ``N x N`` array:
 
 Tolerances scale with the effective number of independent correlation
 areas in the surface (``repro.stats.effective_sample_count``) and the
-number of Welch windows; the ``_TOL`` constants were calibrated against
-seeded ensembles (see docs/VERIFY.md).
+number of Welch windows, both pooled over ensemble members; the ``_TOL``
+constants were calibrated against seeded ensembles (see docs/VERIFY.md).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from ..io.store import SurfaceStore
 from ..stats.extremes import effective_sample_count
 from ..stats.spectral import radial_spectrum
 from .report import VERIFY_SCHEMA, MetricResult, VerifyReport
-from .streaming import choose_segment, stream_statistics
+from .streaming import Reader, choose_segment, stream_statistics
 
 __all__ = [
     "VerifyConfig",
@@ -85,8 +86,8 @@ _TOL = {
     "acf_floor": 2e-2,
     "psd_base": 0.05,
     "psd_window_scale": 0.7,
-    "hurst_base": 0.05,
-    "hurst_window_scale": 0.45,
+    "hurst_scale": 1.5,
+    "hurst_floor": 2e-2,
     "plateau_base": 0.20,
     "plateau_window_scale": 1.2,
 }
@@ -203,15 +204,25 @@ def _log_band(
     target: np.ndarray,
     k_lo: float,
     k_hi: float,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Select band bins where both profiles are positive and the target
-    is within ``_BAND_REL_FLOOR`` of the band's strongest target bin
-    (below that, leakage — not the surface — sets the measurement);
-    return ``(k, log(measured), log(target))``."""
+) -> np.ndarray:
+    """Mask of the band bins where both profiles are positive and the
+    target is within ``_BAND_REL_FLOOR`` of the band's strongest target
+    bin (below that, leakage — not the surface — sets the
+    measurement)."""
     sel = (centres >= k_lo) & (centres <= k_hi) & (measured > 0) & (target > 0)
     if sel.any():
         sel &= target >= _BAND_REL_FLOOR * target[sel].max()
-    return centres[sel], np.log(measured[sel]), np.log(target[sel])
+    return sel
+
+
+def _mean_log_dev(
+    measured: np.ndarray, target: np.ndarray, band: np.ndarray
+) -> Optional[float]:
+    """Mean ``|log(measured) - log(target)|`` over the band bins."""
+    if not band.any():
+        return None
+    return float(np.mean(np.abs(np.log(measured[band])
+                                - np.log(target[band]))))
 
 
 # -- metric assembly -------------------------------------------------------
@@ -253,7 +264,9 @@ def _assess(
     seg = raw["segment"]
     n_windows = raw["psd_windows"]
     sub: Grid2D = raw["psd_grid"]
-    centres, profile = radial_spectrum(raw["psd"], sub, n_bins=config.psd_bins)
+    _, profile, modes = radial_spectrum(raw["psd"], sub,
+                                        n_bins=config.psd_bins,
+                                        return_counts=True)
 
     if spectrum is None:
         # No target: report measurements, gate nothing.
@@ -272,7 +285,8 @@ def _assess(
     self_affine = kind == "self_affine"
 
     # Effective independent-sample count over the windows actually
-    # sampled (window striding reduces it proportionally).
+    # sampled (window striding reduces it proportionally; ensemble
+    # members multiply it).
     clx = float(getattr(spectrum, "clx", 1.0))
     cly = float(getattr(spectrum, "cly", 1.0))
     sampled_frac = raw["n_samples"] / float(cx * cy) if cx * cy else 1.0
@@ -281,9 +295,8 @@ def _assess(
         1.0,
     )
 
-    # Lags for the ACF gate: the correlation length in samples, one per axis.
-    lag_sx = int(np.clip(round(clx / dx), 1, seg - 1))
-    lag_sy = int(np.clip(round(cly / dy), 1, seg - 1))
+    # The ACF lags the stream accumulated, one per axis.
+    (lag_sx, _), (_, lag_sy) = raw["acf_lags"]
     lag_phys = [(lag_sx * dx, 0.0), (0.0, lag_sy * dy)]
 
     targets = _weight_sums(spectrum, nx, ny, dx, dy, lag_phys)
@@ -347,53 +360,68 @@ def _assess(
     k_nyq = 0.5 * min(sub.nyquist_kx, sub.nyquist_ky)
     k_lo = 3.0 * dk_sub
     k_hi = k_nyq
-    band_k, log_m, log_t = _log_band(t_centres, profile, t_profile, k_lo, k_hi)
-    psd_dev = float(np.mean(np.abs(log_m - log_t))) if band_k.size else None
+    band = _log_band(t_centres, profile, t_profile, k_lo, k_hi)
+    psd_dev = _mean_log_dev(profile, t_profile, band)
     psd_tol = (_TOL["psd_base"]
                + _TOL["psd_window_scale"] / math.sqrt(max(n_windows, 1)))
     metrics.append(_metric(
         "psd_band", psd_dev, 0.0, psd_tol, psd_dev,
-        detail={"k_lo": k_lo, "k_hi": k_hi, "bins": int(band_k.size),
+        detail={"k_lo": k_lo, "k_hi": k_hi, "bins": int(band.sum()),
                 "windows": n_windows},
-        gate=band_k.size >= _MIN_BAND_BINS,
+        gate=band.sum() >= _MIN_BAND_BINS,
     ))
 
     # -- self-affine extras: Hurst slope fit + roll-off plateau -----------
     if self_affine:
         hurst = float(getattr(spectrum, "hurst"))
         fit_lo = max(k_lo, 2.5 * qr) if qr is not None else k_lo
-        fit_k, fit_log_m, _ = _log_band(t_centres, profile, t_profile,
-                                        fit_lo, k_hi)
-        if fit_k.size >= _MIN_BAND_BINS:
-            slope = float(np.polyfit(np.log(fit_k), fit_log_m, 1)[0])
+        fit = _log_band(t_centres, profile, t_profile, fit_lo, k_hi)
+        if fit.sum() >= _MIN_BAND_BINS:
+            # Fit the measured and the target profile over the same
+            # bins: the target's own slope carries the roll-off
+            # curvature the band still sees, so only the difference
+            # is the surface's error.
+            log_k = np.log(t_centres[fit])
+            slope = float(np.polyfit(log_k, np.log(profile[fit]), 1)[0])
+            t_slope = float(np.polyfit(log_k, np.log(t_profile[fit]), 1)[0])
             h_fit = -(slope + 2.0) / 2.0
-            h_err = abs(h_fit - hurst)
-            h_tol = (_TOL["hurst_base"]
-                     + _TOL["hurst_window_scale"] / math.sqrt(max(n_windows, 1)))
+            h_target = -(t_slope + 2.0) / 2.0
+            # Standard error of that least-squares slope: each annulus
+            # averages windows * modes / 2 independent periodogram
+            # values (a real field's modes pair up), so a bin's log
+            # power scatters with variance ~ 2 / (windows * modes).
+            xc = log_k - log_k.mean()
+            bin_var = 2.0 / (n_windows * modes[fit])
+            slope_se = (math.sqrt(float(np.sum(xc * xc * bin_var)))
+                        / float(np.sum(xc * xc)))
+            h_err = abs(h_fit - h_target)
+            h_tol = max(_TOL["hurst_scale"] * n_sigma * slope_se / 2.0,
+                        _TOL["hurst_floor"])
             metrics.append(_metric(
-                "hurst_fit", h_fit, hurst, h_tol, h_err,
-                detail={"slope": slope, "k_lo": fit_lo, "k_hi": k_hi,
-                        "bins": int(fit_k.size)},
+                "hurst_fit", h_fit, h_target, h_tol, h_err,
+                detail={"slope": slope, "target_slope": t_slope,
+                        "slope_se": slope_se, "requested": hurst,
+                        "k_lo": fit_lo, "k_hi": k_hi,
+                        "bins": int(fit.sum())},
             ))
         else:
             metrics.append(_metric(
                 "hurst_fit", None, hurst, None, None,
                 detail={"reason": "insufficient fit band",
-                        "bins": int(fit_k.size)},
+                        "bins": int(fit.sum())},
                 gate=False,
             ))
         if qr is not None:
-            p_k, p_log_m, p_log_t = _log_band(
-                t_centres, profile, t_profile, 1.5 * dk_sub, 0.6 * qr)
-            p_dev = (float(np.mean(np.abs(p_log_m - p_log_t)))
-                     if p_k.size else None)
+            plateau = _log_band(t_centres, profile, t_profile,
+                                1.5 * dk_sub, 0.6 * qr)
+            p_dev = _mean_log_dev(profile, t_profile, plateau)
             p_tol = (_TOL["plateau_base"]
                      + _TOL["plateau_window_scale"]
                      / math.sqrt(max(n_windows, 1)))
             metrics.append(_metric(
                 "qr_plateau", p_dev, 0.0, p_tol, p_dev,
-                detail={"qr": qr, "bins": int(p_k.size)},
-                gate=p_k.size >= _MIN_PLATEAU_BINS,
+                detail={"qr": qr, "bins": int(plateau.sum())},
+                gate=plateau.sum() >= _MIN_PLATEAU_BINS,
             ))
 
     return metrics
@@ -402,7 +430,7 @@ def _assess(
 # -- entry points ----------------------------------------------------------
 
 def _run(
-    read: Callable[[int, int, int, int], np.ndarray],
+    read: Union[Reader, Sequence[Reader]],
     shape: Tuple[int, int],
     dx: float,
     dy: float,
@@ -443,6 +471,8 @@ def _run(
         "dy": float(dy),
         "coverage": raw["coverage"],
     })
+    if raw["members"] > 1:
+        surface["members"] = raw["members"]
     cfg = config.to_dict()
     cfg["segment"] = seg  # record the resolved values
     cfg["stride"] = stride
@@ -470,29 +500,50 @@ def _run(
     return report
 
 
+def _array_reader(h: np.ndarray) -> Reader:
+    def read(x0: int, y0: int, wx: int, wy: int) -> np.ndarray:
+        return h[x0 : x0 + wx, y0 : y0 + wy]
+
+    return read
+
+
 def verify_heights(
-    heights: np.ndarray,
+    heights: Union[np.ndarray, Sequence[np.ndarray]],
     spectrum: Optional[Spectrum] = None,
     *,
     dx: float = 1.0,
     dy: float = 1.0,
     config: Optional[VerifyConfig] = None,
 ) -> VerifyReport:
-    """Verify an in-memory surface.
+    """Verify an in-memory surface, or an ensemble of them.
+
+    The input's rank selects the mode: a 2-D array is one surface; a
+    3-D stack or a sequence of same-shape 2-D arrays is an ensemble of
+    realisations of the same request.  Every member streams through
+    the same windows and the accumulators pool before the gates, so
+    ``n_eff`` and the Welch window count — and with them every
+    tolerance — scale with the member count.
 
     Runs exactly the same windowed accumulation as :func:`verify_store`
     (the reader slices the array), so the two paths produce
     bit-identical metrics on identical samples.
     """
-    h = np.asarray(heights)
-    if h.ndim != 2:
-        raise VerifyError(f"heights must be 2D, got shape {h.shape}")
-
-    def read(x0: int, y0: int, wx: int, wy: int) -> np.ndarray:
-        return h[x0 : x0 + wx, y0 : y0 + wy]
-
-    return _run(read, h.shape, dx, dy, spectrum, config or VerifyConfig(),
-                {"store": None})
+    if isinstance(heights, (list, tuple)):
+        members = [np.asarray(m) for m in heights]
+    else:
+        h = np.asarray(heights)
+        if h.ndim not in (2, 3):
+            raise VerifyError(
+                f"heights must be 2D (or a 3D ensemble stack), "
+                f"got shape {h.shape}")
+        members = [h] if h.ndim == 2 else list(h)
+    shapes = sorted({m.shape for m in members})
+    if len(shapes) != 1 or len(shapes[0]) != 2:
+        raise VerifyError(
+            f"ensemble members must be same-shape 2D surfaces, "
+            f"got shapes {shapes}")
+    return _run([_array_reader(m) for m in members], shapes[0], dx, dy,
+                spectrum, config or VerifyConfig(), {"store": None})
 
 
 def verify_store(

@@ -70,10 +70,7 @@ MODULES = [
     "repro.io.pgm",
     "repro.io.objmesh",
     "repro.io.streamed",
-    "repro.validation",
-    "repro.validation.checks",
-    "repro.validation.ensemble",
-    "repro.validation.convergence",
+    "repro.verify.closure",
     "repro.figures",
     "repro.cli",
 ]

@@ -12,6 +12,10 @@ family the paper treats — against **both** production paths:
 All seeds are fixed, so every statistic is a deterministic number; the
 tolerances (centralised in :mod:`tests.tolerances`) are calibrated
 margins against FFT rounding drift, not flaky confidence intervals.
+Alongside them, every cell also runs the production gate,
+:func:`repro.verify.verify_heights` on the pooled fixture ensemble: it
+must pass the request and fail a wrong one (see ``tests.tolerances``
+for why the tighter fixed-seed bounds stay).
 
 The whole suite is parametrized over the engine precision: the opt-in
 ``float32`` mode must satisfy the *same* calibrated statistical gates
@@ -38,16 +42,16 @@ from repro.io.store import SurfaceStore
 from repro.parallel import TilePlan, generate_tiled
 from repro.stats.acf import acf2d_unbiased
 from repro.stats.spectral import periodogram, radial_spectrum
-from repro.validation.ensemble import ensemble_variance
+from repro.verify import verify_heights
 
 from tests.tolerances import (
     FLOAT32_SAFE,
     SELF_AFFINE_HURST_ATOL,
     SELF_AFFINE_PLATEAU_LOG_MAX,
     acf_lag_cl_atol,
-    ensemble_variance_rtol,
     float32_vs_float64_atol,
     ks_stat_max,
+    mean_variance_rtol,
 )
 
 N = 96
@@ -70,6 +74,16 @@ SPECTRA = [
     PowerLawSpectrum(h=1.0, clx=CL, cly=CL, order=2.0),
     SelfAffineSpectrum(sigma=1.0, hurst=HURST, qr=QR),
 ]
+
+#: A wrong request per family for the production-gate companion test:
+#: the correlation length 1.5x too long, or H = 0.5 instead of 0.8.
+WRONG_REQUESTS = {
+    "gaussian": GaussianSpectrum(h=1.0, clx=1.5 * CL, cly=1.5 * CL),
+    "exponential": ExponentialSpectrum(h=1.0, clx=1.5 * CL, cly=1.5 * CL),
+    "power_law": PowerLawSpectrum(h=1.0, clx=1.5 * CL, cly=1.5 * CL,
+                                  order=2.0),
+    "self_affine": SelfAffineSpectrum(sigma=1.0, hurst=0.5, qr=QR),
+}
 
 
 @pytest.fixture(scope="module", params=SPECTRA, ids=lambda s: s.kind)
@@ -181,11 +195,9 @@ def test_height_marginal_ks(spectrum, dtype, fields, discrete_variance):
 def test_rms_height(spectrum, dtype, fields, discrete_variance):
     """Ensemble variance converges to the discrete target ``sum(w)``."""
     _require_float32_safe(spectrum, dtype, "variance")
-    measured = ensemble_variance(
-        lambda seed: fields[seed - SEED0], NSEEDS, seed0=SEED0
-    )
+    measured = sum(float(f.var()) for f in fields) / len(fields)
     rel = abs(measured - discrete_variance) / discrete_variance
-    assert rel < ensemble_variance_rtol(spectrum), (
+    assert rel < mean_variance_rtol(spectrum), (
         f"{spectrum.kind}: variance {measured:.4f} vs target "
         f"{discrete_variance:.4f} (rel {rel:.4f})"
     )
@@ -257,3 +269,19 @@ def test_radial_psd_qr_plateau(spectrum, dtype, gen, fields):
         f"plateau deviates by up to {worst:.3f} in log ratio "
         f"over {int(sel.sum())} bins"
     )
+
+
+@pytest.mark.verify
+def test_production_gate_passes_request(spectrum, dtype, fields):
+    """``repro.verify`` pooled over the fixture ensemble passes the
+    request it was generated from."""
+    report = verify_heights(fields, spectrum)
+    assert report.surface["members"] == NSEEDS
+    assert report.passed, [m.to_dict() for m in report.failures()]
+
+
+@pytest.mark.verify
+def test_production_gate_fails_wrong_request(spectrum, dtype, fields):
+    """The same pooled ensemble checked against a wrong request goes red."""
+    report = verify_heights(fields, WRONG_REQUESTS[spectrum.kind])
+    assert not report.passed

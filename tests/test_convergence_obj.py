@@ -1,64 +1,10 @@
-"""Tests for convergence studies and OBJ export."""
+"""Tests for OBJ mesh export."""
 
-import numpy as np
 import pytest
 
 from repro.core.grid import Grid2D
-from repro.core.spectra import ExponentialSpectrum, GaussianSpectrum
 from repro.core.surface import Surface
 from repro.io.objmesh import save_obj
-from repro.validation.convergence import (
-    enlargement_study,
-    estimate_order,
-    refinement_study,
-)
-
-
-class TestConvergenceStudies:
-    def test_refinement_improves_exponential(self):
-        spec = ExponentialSpectrum(h=1.0, clx=20.0, cly=20.0)
-        rows = refinement_study(spec, domain=512.0, sizes=[64, 128, 256])
-        errs = [r.rel_error_at_zero for r in rows]
-        assert errs[0] > errs[1] > errs[2]
-
-    def test_refinement_order_near_one(self):
-        # exponential out-of-band tail ~ K^-3 -> integrated tail ~ dx
-        spec = ExponentialSpectrum(h=1.0, clx=20.0, cly=20.0)
-        rows = refinement_study(spec, domain=512.0,
-                                sizes=[64, 128, 256, 512])
-        p = estimate_order(rows, knob="dx")
-        assert 0.6 < p < 1.6
-
-    def test_enlargement_improves_gaussian_wraparound(self):
-        # fixed fine spacing; small domains wrap the Gaussian ACF
-        spec = GaussianSpectrum(h=1.0, clx=30.0, cly=30.0)
-        rows = enlargement_study(spec, dx=2.0, sizes=[64, 96, 128])
-        errs = [r.rel_error_at_zero for r in rows]
-        assert errs[0] > errs[-1]
-
-    def test_converged_rows_excluded_from_order(self):
-        spec = GaussianSpectrum(h=1.0, clx=10.0, cly=10.0)
-        rows = refinement_study(spec, domain=512.0, sizes=[256, 512])
-        # both machine-exact: no order can be estimated
-        with pytest.raises(ValueError):
-            estimate_order(rows)
-
-    def test_validation(self):
-        spec = GaussianSpectrum(h=1.0, clx=10.0, cly=10.0)
-        with pytest.raises(ValueError):
-            refinement_study(spec, 512.0, sizes=[64])
-        with pytest.raises(ValueError):
-            enlargement_study(spec, 2.0, sizes=[0, 64])
-        rows = refinement_study(spec, 512.0, sizes=[64, 128])
-        with pytest.raises(ValueError):
-            estimate_order(rows, knob="volume")
-
-    def test_row_as_dict(self):
-        spec = ExponentialSpectrum(h=1.0, clx=20.0, cly=20.0)
-        rows = refinement_study(spec, 256.0, sizes=[32, 64])
-        d = rows[0].as_dict()
-        assert {"nx", "lx", "dx", "rel_error_at_zero",
-                "max_abs_error"} <= set(d)
 
 
 class TestObjExport:

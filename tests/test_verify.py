@@ -8,9 +8,11 @@ across repeated runs and a no-materialisation guard (the streamed pass
 never touches ``SurfaceStore.heights``).
 
 The smaller unit layers check ``stream_statistics`` against independent
-numpy/``repro.stats`` computations of the same quantities, the report
-schema round trip (with a hypothesis property), the error paths, and
-the ``repro verify`` CLI surface.
+numpy/``repro.stats`` computations of the same quantities, ensemble
+input (pooled accumulators, selected by rank), the Hurst-slope gate,
+the surface-free closure checks, the report schema round trip (with a
+hypothesis property), the error paths, and the ``repro verify`` /
+``repro validate --full`` CLI surfaces.
 """
 
 import json
@@ -20,11 +22,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cli import main
+from repro.cli import VALIDATION_SPECTRA, main
 from repro.core.convolution import ConvolutionGenerator
 from repro.core.grid import Grid2D
 from repro.core.rng import BlockNoise
-from repro.core.spectra import GaussianSpectrum
+from repro.core.spectra import ExponentialSpectrum, GaussianSpectrum
 from repro.core.spectra_ext import SelfAffineSpectrum
 from repro.io.store import SurfaceStore
 from repro.parallel import TilePlan, generate_tiled
@@ -40,11 +42,15 @@ from repro.verify import (
     choose_segment,
     load_report,
     stream_statistics,
+    variance_closure,
     verify_heights,
     verify_job,
     verify_store,
+    weight_acf_error,
     write_report,
 )
+
+from tests.tolerances import VERIFY_VS_STATS_RTOL
 
 pytestmark = pytest.mark.verify
 
@@ -279,6 +285,145 @@ class TestStreamedDifferential:
 
 
 # ---------------------------------------------------------------------------
+# Ensemble input: one code path, selected by the input's rank
+# ---------------------------------------------------------------------------
+def _self_affine(n, seed, hurst=0.8):
+    spectrum = SelfAffineSpectrum(sigma=1.0, hurst=hurst, qr=0.4)
+    grid = Grid2D(nx=n, ny=n, lx=float(n), ly=float(n))
+    return np.asarray(ConvolutionGenerator(spectrum, grid).generate(seed=seed))
+
+
+class TestEnsembleInput:
+    @pytest.fixture(scope="class")
+    def fields(self):
+        return [_self_affine(96, seed) for seed in range(100, 104)]
+
+    def test_one_member_ensemble_is_the_single_surface(self, fields):
+        single = verify_heights(fields[0], SPECTRUM)
+        assert "members" not in single.surface
+        for one in (fields[:1], np.stack(fields[:1])):
+            assert verify_heights(one, SPECTRUM).core_dict() == \
+                single.core_dict()
+
+    def test_stack_and_sequence_agree(self, fields):
+        stacked = verify_heights(np.stack(fields), SPECTRUM)
+        assert stacked.core_dict() == \
+            verify_heights(fields, SPECTRUM).core_dict()
+        assert stacked.surface["members"] == len(fields)
+        assert stacked.surface["shape"] == [96, 96]
+
+    def test_accumulators_pool(self, fields):
+        """Windows and n_eff add up over members, the pooled RMS is the
+        RMS of all samples together, and the tolerances tighten."""
+        pooled = verify_heights(fields, SPECTRUM)
+        single = verify_heights(fields[0], SPECTRUM)
+        assert pooled.metric("psd_band").detail["windows"] == \
+            len(fields) * single.metric("psd_band").detail["windows"]
+        rms = pooled.metric("rms_height")
+        assert rms.detail["n_eff"] == pytest.approx(
+            len(fields) * single.metric("rms_height").detail["n_eff"])
+        assert rms.measured == pytest.approx(
+            float(np.concatenate([f.ravel() for f in fields]).std()),
+            rel=VERIFY_VS_STATS_RTOL)
+        for name in ("rms_height", "acf_lag_x", "psd_band", "hurst_fit"):
+            assert pooled.metric(name).tolerance < \
+                single.metric(name).tolerance, name
+
+    def test_stream_statistics_pools_readers(self, fields):
+        lags = ((5, 0), (0, 5))
+        pooled = stream_statistics([_array_reader(f) for f in fields],
+                                   (96, 96), 1.0, 1.0, segment=32,
+                                   acf_lags=lags)
+        one = stream_statistics(_array_reader(fields[0]), (96, 96),
+                                1.0, 1.0, segment=32, acf_lags=lags)
+        assert (pooled["members"], one["members"]) == (len(fields), 1)
+        assert pooled["acf_lags"] == one["acf_lags"] == list(lags)
+        assert pooled["n_samples"] == len(fields) * one["n_samples"]
+        assert pooled["psd_windows"] == len(fields) * one["psd_windows"]
+        assert pooled["acf"][(5, 0)]["count"] == \
+            len(fields) * one["acf"][(5, 0)]["count"]
+
+    def test_members_must_share_a_2d_shape(self, fields):
+        with pytest.raises(VerifyError, match="same-shape"):
+            verify_heights([fields[0], fields[1][:64, :64]], SPECTRUM)
+        with pytest.raises(VerifyError, match="same-shape"):
+            verify_heights([], SPECTRUM)
+        with pytest.raises(VerifyError, match="2D"):
+            verify_heights(np.zeros((2, 2, 8, 8)), SPECTRUM)
+
+
+# ---------------------------------------------------------------------------
+# hurst_fit: measured slope vs the target profile's slope, n-sigma of the fit
+# ---------------------------------------------------------------------------
+class TestHurstGate:
+    @pytest.mark.parametrize("n", [96, 128])
+    def test_clean_seeds_pass(self, n):
+        for seed in range(100, 112):
+            metric = verify_heights(_self_affine(n, seed),
+                                    SPECTRUM).metric("hurst_fit")
+            assert metric.passed is True, (n, seed, metric.to_dict())
+
+    def test_target_reads_the_profile_slope(self):
+        """At 96^2 the fit band still sees the roll-off curvature: the
+        target profile itself reads H = 0.875, not the requested 0.8."""
+        metric = verify_heights(_self_affine(96, 100),
+                                SPECTRUM).metric("hurst_fit")
+        assert metric.detail["requested"] == 0.8
+        assert metric.target == pytest.approx(0.875, abs=5e-3)
+        assert metric.tolerance == pytest.approx(
+            1.5 * 4.0 * metric.detail["slope_se"] / 2.0)
+
+    def test_wrong_hurst_fails_at_512(self):
+        for seed in range(100, 104):
+            report = verify_heights(_self_affine(512, seed, hurst=0.5),
+                                    SPECTRUM)
+            assert report.metric("hurst_fit").passed is False, seed
+            assert not report.passed, seed
+
+
+# ---------------------------------------------------------------------------
+# Closure checks: the paper's DFT(w) ~ rho and sum(w) ~ h^2, no surface
+# ---------------------------------------------------------------------------
+class TestClosure:
+    def test_gaussian_acf_check_tight(self):
+        grid = Grid2D(nx=64, ny=64, lx=256.0, ly=256.0)
+        s = GaussianSpectrum(h=1.0, clx=20.0, cly=20.0)
+        rep = weight_acf_error(s, grid)
+        assert rep.max_abs_error < 1e-6
+        assert rep.rel_error_at_zero < 1e-6
+        assert rep.variance_target == 1.0
+
+    def test_exponential_acf_check_reports_discretisation(self):
+        grid = Grid2D(nx=64, ny=64, lx=256.0, ly=256.0)
+        s = ExponentialSpectrum(h=1.0, clx=15.0, cly=15.0)
+        rep = weight_acf_error(s, grid)
+        # heavy tail -> visible error, still moderate
+        assert 1e-4 < rep.rel_error_at_zero < 0.2
+
+    def test_error_shrinks_with_refinement(self):
+        s = ExponentialSpectrum(h=1.0, clx=15.0, cly=15.0)
+        coarse = weight_acf_error(s, Grid2D(nx=64, ny=64, lx=256.0, ly=256.0))
+        fine = weight_acf_error(s, Grid2D(nx=256, ny=256, lx=256.0, ly=256.0))
+        assert fine.rel_error_at_zero < coarse.rel_error_at_zero
+
+    def test_variance_closure_values(self):
+        grid = Grid2D(nx=64, ny=64, lx=256.0, ly=256.0)
+        assert variance_closure(
+            GaussianSpectrum(h=1.0, clx=20.0, cly=20.0), grid
+        ) < 1e-9
+        assert variance_closure(
+            GaussianSpectrum(h=0.0, clx=20.0, cly=20.0), grid
+        ) == 0.0
+
+    def test_report_as_dict(self):
+        grid = Grid2D(nx=32, ny=32, lx=64.0, ly=64.0)
+        d = weight_acf_error(GaussianSpectrum(h=1, clx=8, cly=8), grid).as_dict()
+        assert set(d) == {
+            "max_abs_error", "rms_error", "rel_error_at_zero", "variance_target"
+        }
+
+
+# ---------------------------------------------------------------------------
 # Report schema: round trip + hypothesis property
 # ---------------------------------------------------------------------------
 def _report(metrics=(), passed=True):
@@ -448,6 +593,16 @@ class TestCli:
         rc = main(["verify", str(big_store), "--spec", str(spec)])
         assert rc == 1
         assert "verify: FAIL" in capsys.readouterr().out
+
+    def test_validate_full_gates_every_family(self, capsys):
+        """``validate --full`` is a loop over ``verify_heights`` on one
+        seeded ensemble per default family."""
+        rc = main(["validate", "--full", "--n", "64", "--domain", "256"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.count("verify: PASS") == len(VALIDATION_SPECTRA)
+        for name in VALIDATION_SPECTRA:
+            assert f"{name}: 16 realisations" in out
 
     def test_verify_missing_target(self, tmp_path):
         with pytest.raises(SystemExit, match="no manifest.json"):

@@ -1,4 +1,16 @@
-"""Shared numeric tolerances for the test suite."""
+"""Shared numeric tolerances for the test suite.
+
+The fixed-seed conformance bounds below are regression margins, not the
+statistical model: :mod:`repro.verify` is the one statistical gate, and
+``tests/test_conformance.py`` runs it on every cell as well.  They stay
+because they are far tighter than the gate on the fixture.  Pooled over
+the 8-field 96^2 ensemble, verify's tolerances are 0.277 on
+``rms_height`` and 0.39 on ``acf_lag_*`` — against 0.04 (Gaussian
+variance) and 0.05 (ACF at lag cl) here — and on the h = 1 Gaussian
+ensemble verify passes a request for h = 1.2.  Loosening these bounds
+to the gate's model would let exactly that kind of drift through, so
+none of them is widened to match it.
+"""
 
 
 def variance_rtol(spectrum) -> float:
@@ -45,7 +57,7 @@ def ks_stat_max(spectrum) -> float:
     ]
 
 
-def ensemble_variance_rtol(spectrum) -> float:
+def mean_variance_rtol(spectrum) -> float:
     """Ensemble mean sample variance vs discrete target ``sum(w)``
     (measured: gaussian 0.003, power_law 0.009, exponential 0.026,
     self_affine 0.024)."""
