@@ -29,10 +29,14 @@ This module provides:
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
+
+from .. import obs
 
 __all__ = [
     "box_muller",
@@ -41,7 +45,13 @@ __all__ = [
     "normal_pair_from_uniform",
     "BlockNoise",
     "as_generator",
+    "BLOCK_CACHE_BYTES",
 ]
+
+#: Byte bound on one :class:`BlockNoise` plane's block cache.  The cache
+#: holds the blocks of the most recent window, but never more full
+#: float64 blocks than fit in this many bytes.
+BLOCK_CACHE_BYTES = 64 * 2**20
 
 SeedLike = Union[None, int, np.random.SeedSequence, np.random.Generator]
 
@@ -153,6 +163,20 @@ class BlockNoise:
     unbounded), enabling convolution halos that extend left/below the
     origin.
 
+    Each plane keeps a small least-recently-used cache of the blocks it
+    drew, sized to the block count of the most recent window and capped
+    at :data:`BLOCK_CACHE_BYTES`.  Row-major tiles overlap their
+    predecessor's halo, so the next tile reuses the blocks they share
+    instead of redrawing them.  A block is filled in C order, so a
+    window that needs only the first ``r`` rows of a block draws only
+    those (a prefix draw) and caches the prefix; a later window that
+    needs more rows redraws the block longer.  Values never depend on
+    the cache: every block is a pure function of its key.  Cached
+    blocks are read-only; :meth:`window` always returns a fresh array.
+    The cache belongs to this instance: a pickled plane carries only
+    ``(seed, block)``, and threads may share one plane (a block two
+    threads miss at once is drawn twice, harmlessly).
+
     Parameters
     ----------
     seed:
@@ -177,23 +201,54 @@ class BlockNoise:
             raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         self.seed = int(seed)
         self.block = int(block)
+        self._lock = threading.Lock()
+        self._cache: "OrderedDict[Tuple[int, int], np.ndarray]" = OrderedDict()
+        self._max_blocks = max(1, BLOCK_CACHE_BYTES // (8 * self.block**2))
+
+    def __reduce__(self):
+        return (type(self), (self.seed, self.block))
 
     # -- internal ------------------------------------------------------
-    def _block_values(self, bx: int, by: int) -> np.ndarray:
+    def _block_values(self, bx: int, by: int, rows: Optional[int] = None) -> np.ndarray:
+        """The first ``rows`` rows (default: all) of block ``(bx, by)``."""
         # Zigzag-encode signed block coords into the non-negative key words
         # Philox expects; distinct (bx, by) always map to distinct keys.
         kx = 2 * bx if bx >= 0 else -2 * bx - 1
         ky = 2 * by if by >= 0 else -2 * by - 1
         ss = np.random.SeedSequence(entropy=[self.seed, kx, ky])
         gen = np.random.Generator(np.random.Philox(seed=ss))
-        return gen.standard_normal((self.block, self.block))
+        return gen.standard_normal((self.block if rows is None else rows, self.block))
+
+    def _cached_block(self, bx: int, by: int, rows: int) -> Tuple[np.ndarray, bool]:
+        """At least ``rows`` rows of block ``(bx, by)``, and whether they
+        had to be drawn.  Draws happen outside the lock."""
+        key = (bx, by)
+        with self._lock:
+            vals = self._cache.get(key)
+            if vals is not None and vals.shape[0] >= rows:
+                self._cache.move_to_end(key)
+                return vals, False
+        vals = self._block_values(bx, by, rows)
+        vals.flags.writeable = False
+        with self._lock:
+            held = self._cache.get(key)
+            if held is None or held.shape[0] < vals.shape[0]:
+                self._cache[key] = vals
+            self._cache.move_to_end(key)
+            self._trim(self._max_blocks)
+        return vals, True
+
+    def _trim(self, capacity: int) -> None:
+        """Evict least-recently-used blocks down to ``capacity`` (lock held)."""
+        while len(self._cache) > capacity:
+            self._cache.popitem(last=False)
 
     # -- public --------------------------------------------------------
     def window(self, x0: int, y0: int, nx: int, ny: int) -> np.ndarray:
         """Materialise the noise window ``[x0, x0+nx) x [y0, y0+ny)``.
 
         Coordinates are global sample indices and may be negative.
-        Returns a C-contiguous ``(nx, ny)`` float array.
+        Returns a fresh C-contiguous ``(nx, ny)`` float array.
         """
         if nx < 0 or ny < 0:
             raise ValueError("window dimensions must be >= 0")
@@ -205,16 +260,29 @@ class BlockNoise:
         bx1 = (x0 + nx - 1) // b
         by0 = y0 // b
         by1 = (y0 + ny - 1) // b
-        for bx in range(bx0, bx1 + 1):
-            gx0 = max(x0, bx * b)
-            gx1 = min(x0 + nx, (bx + 1) * b)
-            for by in range(by0, by1 + 1):
-                gy0 = max(y0, by * b)
-                gy1 = min(y0 + ny, (by + 1) * b)
-                vals = self._block_values(bx, by)
-                out[gx0 - x0 : gx1 - x0, gy0 - y0 : gy1 - y0] = vals[
-                    gx0 - bx * b : gx1 - bx * b, gy0 - by * b : gy1 - by * b
-                ]
+        drawn = reused = rows_drawn = 0
+        with obs.trace("rng.noise"):
+            for bx in range(bx0, bx1 + 1):
+                gx0 = max(x0, bx * b)
+                gx1 = min(x0 + nx, (bx + 1) * b)
+                rows = gx1 - bx * b
+                for by in range(by0, by1 + 1):
+                    gy0 = max(y0, by * b)
+                    gy1 = min(y0 + ny, (by + 1) * b)
+                    vals, fresh = self._cached_block(bx, by, rows)
+                    if fresh:
+                        drawn += 1
+                        rows_drawn += rows
+                    else:
+                        reused += 1
+                    out[gx0 - x0 : gx1 - x0, gy0 - y0 : gy1 - y0] = vals[
+                        gx0 - bx * b : rows, gy0 - by * b : gy1 - by * b
+                    ]
+            with self._lock:
+                self._trim((bx1 - bx0 + 1) * (by1 - by0 + 1))
+        obs.add("rng.blocks_drawn", drawn)
+        obs.add("rng.blocks_reused", reused)
+        obs.add("rng.rows_drawn", rows_drawn)
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -248,8 +248,10 @@ class Coordinator:
                 target=self._serve_client, args=(conn, ord_),
                 name=f"dist-client-{ord_}", daemon=True,
             )
-            self._handlers.append(t)
+            # start before publishing: _shutdown may join any listed
+            # handler, and joining an unstarted thread raises
             t.start()
+            self._handlers.append(t)
 
     def _serve_client(self, conn: socket.socket, ord_: int) -> None:
         worker = f"w{ord_}"

@@ -198,9 +198,10 @@ class Batcher:
         noise_kwargs: Dict[str, Any] = {"seed": rep.seed}
         if rep.noise_block is not None:
             noise_kwargs["block"] = rep.noise_block
-        noise = BlockNoise(**noise_kwargs)
         wx0, wy0, wnx, wny = noise_window_for(kernels[0], x0, y0, nx, ny)
-        window = noise.window(wx0, wy0, wnx, wny)
+        # A group reads its plane once: drop the plane (and the blocks it
+        # cached) before the FFTs rather than holding them to the end.
+        window = BlockNoise(**noise_kwargs).window(wx0, wy0, wnx, wny)
         with obs.trace("serve.batch", {
             "requests": len(members), "kernels": len(kernels),
         } if obs.enabled() else None):

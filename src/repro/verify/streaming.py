@@ -24,7 +24,7 @@ from typing import Callable, Dict, Sequence, Tuple, Union
 import numpy as np
 
 from ..core.grid import Grid2D
-from ..stats.spectral import periodogram
+from ..stats.spectral import half_periodogram, mirror_half_spectrum
 
 __all__ = ["choose_segment", "stream_statistics"]
 
@@ -151,7 +151,7 @@ def stream_statistics(
     gy_sumsq = 0.0
     gy_pairs = 0
     acf_acc = {lag: {"lr": 0.0, "l": 0.0, "r": 0.0, "n": 0} for lag in lags}
-    psd_acc = np.zeros((seg, seg))
+    psd_acc = np.zeros((seg, seg // 2 + 1))  # non-negative-ky half plane
     n_windows = 0
 
     windows = [(i * seg, j * seg)
@@ -168,9 +168,11 @@ def stream_statistics(
                 )
             win = ext[:seg, :seg]
 
+            # Sums of products go through einsum: no temporary array.
             n_samples += win.size
-            h_sum += float(win.sum())
-            h_sumsq += float((win * win).sum())
+            win_sum = win.sum()
+            h_sum += float(win_sum)
+            h_sumsq += float(np.einsum("ij,ij->", win, win))
 
             # Forward differences; the +1 halo pairs the window's last
             # row/column with its neighbour, so every interior pair is
@@ -178,12 +180,12 @@ def stream_statistics(
             mx = min(seg, ext.shape[0] - 1)
             if mx > 0:
                 d = ext[1 : mx + 1, :seg] - ext[:mx, :seg]
-                gx_sumsq += float((d * d).sum())
+                gx_sumsq += float(np.einsum("ij,ij->", d, d))
                 gx_pairs += d.size
             my = min(seg, ext.shape[1] - 1)
             if my > 0:
                 d = ext[:seg, 1 : my + 1] - ext[:seg, :my]
-                gy_sumsq += float((d * d).sum())
+                gy_sumsq += float(np.einsum("ij,ij->", d, d))
                 gy_pairs += d.size
 
             for lag in lags:
@@ -198,15 +200,17 @@ def stream_statistics(
                     right = ext[:seg, lb : lb + m]
                 if m > 0:
                     acc = acf_acc[lag]
-                    acc["lr"] += float((left * right).sum())
+                    acc["lr"] += float(np.einsum("ij,ij->", left, right))
                     acc["l"] += float(left.sum())
                     acc["r"] += float(right.sum())
                     acc["n"] += left.size
 
             # Same ops as welch_spectrum: per-patch demean, taper,
-            # periodogram without re-demeaning.
-            patch = (win - win.mean()) * taper
-            psd_acc += periodogram(patch, sub, demean=False)
+            # periodogram without re-demeaning.  Halves are summed and
+            # mirrored once at the end, which is exact: mirroring only
+            # permutes elements.
+            patch = (win - win_sum / win.size) * taper
+            psd_acc += half_periodogram(patch, sub)
             n_windows += 1
 
     mean = h_sum / n_samples
@@ -240,6 +244,6 @@ def stream_statistics(
         "acf": acf,
         "members": len(readers),
         "psd_grid": sub,
-        "psd": psd_acc / (n_windows * norm),
+        "psd": mirror_half_spectrum(psd_acc, seg) / (n_windows * norm),
         "psd_windows": n_windows,
     }

@@ -163,30 +163,39 @@ def _weight_sums(
     """Row-blocked discrete weight sums on the surface's spectral grid.
 
     Returns ``sum(w)``, ``sum(w*t)`` (forward-difference factor), and the
-    Wiener–Khinchin ACF sums at the requested physical lags, without ever
-    holding more than ``block * ny`` weights.  Above
-    ``_MAX_TARGET_GRID`` samples per axis the k-grid is decimated (same
-    Nyquist range, coarser ``dK``) — see the constant's rationale.
+    Wiener–Khinchin ACF sums at the requested axis-aligned physical lags,
+    without ever holding more than ``block * ny`` weights.  Every factor
+    depends on one axis only, so each sum is a row- or column-sum of
+    ``w`` against a 1-D vector.  Above ``_MAX_TARGET_GRID`` samples per
+    axis the k-grid is decimated (same Nyquist range, coarser ``dK``) —
+    see the constant's rationale.
     """
+    if any(rx and ry for rx, ry in lags):
+        raise ValueError(f"ACF lags must be axis-aligned, got {list(lags)}")
     nx = min(int(nx), _MAX_TARGET_GRID)
     ny = min(int(ny), _MAX_TARGET_GRID)
     grid = Grid2D(nx=nx, ny=ny, lx=nx * dx, ly=ny * dy)
     kx = grid.kx_folded
     ky = grid.ky_folded
     cell = grid.spectral_cell
+    rows = np.empty(nx)   # sum of w over ky, per kx
+    cols = np.zeros(ny)   # sum of w over kx, per ky
+    for i in range(0, nx, block):
+        w = np.asarray(spectrum.spectrum(kx[i : i + block][:, None],
+                                         ky[None, :]), dtype=float)
+        rows[i : i + block] = w.sum(axis=1)
+        cols += w.sum(axis=0)
     tx = (2.0 - 2.0 * np.cos(kx * dx)) / (dx * dx)
     ty = (2.0 - 2.0 * np.cos(ky * dy)) / (dy * dy)
-    sum_w = 0.0
-    sum_wt = 0.0
-    acf = {tuple(lag): 0.0 for lag in lags}
-    for i in range(0, nx, block):
-        kxb = kx[i : i + block][:, None]
-        w = cell * np.asarray(spectrum.spectrum(kxb, ky[None, :]), dtype=float)
-        sum_w += float(w.sum())
-        sum_wt += float((w * (tx[i : i + block][:, None] + ty[None, :])).sum())
-        for (rx, ry) in acf:
-            acf[(rx, ry)] += float((w * np.cos(kxb * rx + ky[None, :] * ry)).sum())
-    return {"sum_w": sum_w, "sum_wt": sum_wt, "acf": acf}
+    acf = {}
+    for rx, ry in lags:
+        sums = rows @ np.cos(kx * rx) if ry == 0 else cols @ np.cos(ky * ry)
+        acf[(rx, ry)] = cell * float(sums)
+    return {
+        "sum_w": cell * float(rows.sum()),
+        "sum_wt": cell * float(rows @ tx + cols @ ty),
+        "acf": acf,
+    }
 
 
 def _radial_target(

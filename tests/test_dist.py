@@ -472,6 +472,40 @@ class TestDistEndToEnd:
                 coord.serve(timeout=5.0)
             store.close()
 
+    def test_handler_is_started_before_shutdown_can_join_it(
+            self, tmp_path, monkeypatch):
+        """A worker accepted just as the run ends must not crash the
+        shutdown: a handler is listed for joining only once started."""
+        gen, rebuild, noise, plan, grid = _problem(64, 32, seed=2)
+        store = _store_for(tmp_path, "late", 64, 32, grid)
+        spec = GenerationSpec(generator=rebuild, seed=2,
+                              plan={"total_nx": 64, "total_ny": 64,
+                                    "tile_nx": 32, "tile_ny": 32},
+                              store_path=str(store.path), access="shared")
+        coord = Coordinator(spec, plan, store)
+        listed_at_start = []
+        real_start = threading.Thread.start
+
+        def start(thread):
+            if thread.name.startswith("dist-client-"):
+                listed_at_start.append(thread in coord._handlers)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        host, port = coord.start()
+        try:
+            with socket.create_connection((host, port), timeout=5.0) as s:
+                s.settimeout(5.0)
+                protocol.send_json(s, {"type": "hello",
+                                       "protocol": "repro.dist/v0"})
+                assert protocol.recv_json(s)["type"] == "abort"
+        finally:
+            coord.abort(RuntimeError("test over"))
+            with pytest.raises(RuntimeError):
+                coord.serve(timeout=5.0)
+            store.close()
+        assert listed_at_start == [False]
+
 
 # ---------------------------------------------------------------------------
 # CLI validation (satellite: --workers must be positive everywhere)

@@ -71,7 +71,7 @@ def _write_pair(tmp_path, results=None, inhomo=None):
             "--skip-obs-overhead", "--skip-jobs-overhead",
             "--skip-store-overhead", "--skip-dtype-speedup",
             "--skip-dist", "--skip-telemetry", "--skip-serve",
-            "--skip-circulant", "--skip-verify"]
+            "--skip-circulant", "--skip-verify", "--skip-noise-reuse"]
 
 
 class TestCheck:
@@ -145,6 +145,45 @@ class TestCheckInhomo:
         assert len(failures) == 3
 
 
+def _noise_row(block_equivalents=468.0, verify_passed=True):
+    return {"wall_s": 2.4, "rng_noise_s": 0.9, "blocks_requested": 1024,
+            "blocks_drawn": 576, "blocks_reused": 448,
+            "rows_drawn": block_equivalents * 256,
+            "block_equivalents_drawn": block_equivalents,
+            "verify_passed": verify_passed}
+
+
+class TestCheckNoiseReuse:
+    def test_one_window_cache_count_passes(self):
+        assert gate.check_noise_reuse(_noise_row(), 480) == []
+
+    def test_bound_is_inclusive(self):
+        assert gate.check_noise_reuse(_noise_row(480.0), 480) == []
+
+    def test_redrawing_every_block_fails(self):
+        failures = gate.check_noise_reuse(_noise_row(1024.0), 480)
+        assert len(failures) == 1 and "1024.0" in failures[0]
+
+    def test_nan_count_fails(self):
+        assert len(gate.check_noise_reuse(_noise_row(math.nan), 480)) == 1
+
+    def test_red_verify_fails(self):
+        failures = gate.check_noise_reuse(_noise_row(verify_passed=False), 480)
+        assert len(failures) == 1 and "verification" in failures[0]
+
+    @pytest.mark.parametrize("row, code", [(_noise_row(), 0),
+                                           (_noise_row(1024.0), 1)])
+    def test_main_gates_the_row(self, tmp_path, monkeypatch, capsys,
+                                row, code):
+        monkeypatch.setattr(gate, "measure_noise_reuse", lambda: row)
+        argv = _write_pair(tmp_path)
+        argv.remove("--skip-noise-reuse")
+        out = tmp_path / "noise_reuse.json"
+        assert gate.main(argv + ["--noise-results", str(out)]) == code
+        assert "noise gate:" in capsys.readouterr().out
+        assert json.loads(out.read_text())["blocks_drawn"] == 576
+
+
 class TestMain:
     def test_pass_exit_zero(self, tmp_path, capsys):
         assert gate.main(_write_pair(tmp_path)) == 0
@@ -199,4 +238,5 @@ class TestMain:
         assert gate.main(["--skip-obs-overhead", "--skip-jobs-overhead",
                           "--skip-store-overhead", "--skip-dtype-speedup",
                           "--skip-dist", "--skip-telemetry", "--skip-serve",
-                          "--skip-circulant", "--skip-verify"]) == 0
+                          "--skip-circulant", "--skip-verify",
+                          "--skip-noise-reuse"]) == 0

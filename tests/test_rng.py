@@ -1,8 +1,15 @@
 """Unit tests for Gaussian RNG machinery (eqn 18) and block noise."""
 
+import pickle
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro import obs
 from repro.core.rng import (
     BlockNoise,
     Lcg,
@@ -158,3 +165,139 @@ class TestBlockNoise:
         a = BlockNoise(seed=5, block=8).window(0, 0, 16, 16)
         b = BlockNoise(seed=5, block=16).window(0, 0, 16, 16)
         assert not np.array_equal(a, b)
+
+
+def _reference_window(seed, block, x0, y0, nx, ny):
+    """The window assembled from whole blocks, one draw per sample."""
+    out = np.empty((nx, ny))
+    for i in range(nx):
+        for j in range(ny):
+            bx, ix = divmod(x0 + i, block)
+            by, iy = divmod(y0 + j, block)
+            out[i, j] = _full_block(seed, block, bx, by)[ix, iy]
+    return out
+
+
+_FULL_BLOCKS = {}
+
+
+def _full_block(seed, block, bx, by):
+    key = (seed, block, bx, by)
+    if key not in _FULL_BLOCKS:
+        _FULL_BLOCKS[key] = BlockNoise(seed, block)._block_values(bx, by)
+    return _FULL_BLOCKS[key]
+
+
+def _window_blocks(block, x0, y0, nx, ny):
+    return {(bx, by)
+            for bx in range(x0 // block, (x0 + nx - 1) // block + 1)
+            for by in range(y0 // block, (y0 + ny - 1) // block + 1)}
+
+
+_windows = st.tuples(
+    st.integers(-40, 40), st.integers(-40, 40),
+    st.integers(0, 48), st.integers(0, 48),
+)
+
+
+class TestBlockCache:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32), block=st.integers(8, 32),
+           windows=st.lists(_windows, min_size=1, max_size=6))
+    # a 3-row prefix of block (0, 0) is cached, then all 16 rows needed
+    @example(seed=1, block=16, windows=[(0, 0, 3, 8), (0, 0, 16, 16)])
+    def test_window_sequence_matches_fresh_planes(self, seed, block, windows):
+        plane = BlockNoise(seed, block)
+        for x0, y0, nx, ny in windows:
+            got = plane.window(x0, y0, nx, ny)
+            assert np.array_equal(got, BlockNoise(seed, block).window(
+                x0, y0, nx, ny))
+            assert np.array_equal(got, _reference_window(
+                seed, block, x0, y0, nx, ny))
+
+    @pytest.mark.parametrize("rows", [1, 7, 16, 31])
+    def test_prefix_draw_is_the_blocks_first_rows(self, rows):
+        plane = BlockNoise(seed=9, block=32)
+        full = plane._block_values(-2, 3)
+        assert np.array_equal(plane._block_values(-2, 3, rows), full[:rows])
+
+    def test_longer_prefix_is_redrawn(self):
+        plane = BlockNoise(seed=4, block=16)
+        with obs.recording() as rec:
+            plane.window(0, 0, 3, 16)
+            plane.window(0, 0, 3, 16)
+            tall = plane.window(0, 0, 16, 16)
+        counters = rec.metrics.counters("rng.")
+        assert counters == {"rng.blocks_drawn": 2, "rng.blocks_reused": 1,
+                            "rng.rows_drawn": 3 + 16}
+        assert np.array_equal(tall, _reference_window(4, 16, 0, 0, 16, 16))
+
+    def test_cached_blocks_are_read_only(self):
+        plane = BlockNoise(seed=2, block=8)
+        out = plane.window(-4, -4, 20, 20)
+        assert out.flags.writeable
+        assert plane._cache
+        for vals in plane._cache.values():
+            assert not vals.flags.writeable
+            with pytest.raises(ValueError):
+                vals[0, 0] = 0.0
+        out[:] = 0.0  # the returned window is the caller's own copy
+        assert np.array_equal(plane.window(-4, -4, 20, 20),
+                              _reference_window(2, 8, -4, -4, 20, 20))
+
+    def test_pickle_drops_the_cache(self):
+        plane = BlockNoise(seed=12, block=8)
+        before = plane.window(0, 0, 24, 24)
+        clone = pickle.loads(pickle.dumps(plane))
+        assert (clone.seed, clone.block) == (12, 8)
+        assert not clone._cache
+        assert np.array_equal(clone.window(0, 0, 24, 24), before)
+        assert clone._cache and clone._lock is not plane._lock
+
+    def test_threads_sharing_a_plane_match_a_serial_sweep(self):
+        windows = [(x0 - 5, y0 - 5, 26, 26)
+                   for x0 in range(0, 128, 16) for y0 in range(0, 128, 16)]
+        serial = [BlockNoise(seed=8, block=8).window(*w) for w in windows]
+        shared = BlockNoise(seed=8, block=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with obs.recording() as rec, \
+                    ThreadPoolExecutor(max_workers=8) as pool:
+                for _ in range(3):
+                    got = list(pool.map(lambda w: shared.window(*w),
+                                        windows, timeout=60))
+                    for a, b in zip(got, serial):
+                        assert np.array_equal(a, b)
+        finally:
+            sys.setswitchinterval(interval)
+        counters = rec.metrics.counters("rng.")
+        assert (counters["rng.blocks_drawn"] + counters["rng.blocks_reused"]
+                == 3 * 16 * len(windows))
+        # every window ends by trimming the cache to its own 4x4 blocks
+        assert len(shared._cache) <= 16
+        assert all(v.shape[1] == 8 and not v.flags.writeable
+                   for v in shared._cache.values())
+
+    def test_row_major_sweep_draws_one_window_cache_count(self):
+        from repro.parallel.tiles import TilePlan
+
+        block, halo = 16, 8
+        plan = TilePlan(total_nx=128, total_ny=96, tile_nx=32, tile_ny=32)
+        windows = [(t.x0 - halo, t.y0 - halo, t.nx + 2 * halo,
+                    t.ny + 2 * halo) for t in plan]
+        predicted, previous = 0, set()
+        for w in windows:
+            keys = _window_blocks(block, *w)
+            predicted += len(keys - previous)
+            previous = keys
+        plane = BlockNoise(seed=3, block=block)
+        with obs.recording() as rec:
+            for w in windows:
+                plane.window(*w)
+        counters = rec.metrics.counters("rng.")
+        requested = sum(len(_window_blocks(block, *w)) for w in windows)
+        assert counters["rng.blocks_drawn"] == predicted
+        assert counters["rng.blocks_reused"] == requested - predicted
+        assert predicted < requested
+        assert rec.span_stats()["rng.noise"]["count"] == len(windows)

@@ -9,6 +9,8 @@ from repro.core.spectra import GaussianSpectrum
 from repro.core.weights import weight_array
 from repro.stats.spectral import (
     ensemble_spectrum,
+    half_periodogram,
+    mirror_half_spectrum,
     periodogram,
     radial_spectrum,
     spectrum_axis_profile,
@@ -35,6 +37,26 @@ class TestPeriodogram:
     def test_shape_validation(self, grid128):
         with pytest.raises(ValueError):
             periodogram(np.zeros((4, 4)), grid128)
+
+    @pytest.mark.parametrize("shape", [(8, 8), (7, 9), (6, 5), (5, 2),
+                                       (3, 1), (1, 4)])
+    def test_matches_full_complex_fft(self, shape, rng):
+        """The mirrored ``rfft2`` half plane equals the full ``fft2``
+        periodogram to rounding, for odd and even edges alike."""
+        f = rng.standard_normal(shape)
+        grid = Grid2D(nx=shape[0], ny=shape[1], lx=2.0 * shape[0],
+                      ly=3.0 * shape[1])
+        spec = np.fft.fft2(f - f.mean())
+        expected = np.abs(spec) ** 2 * grid.cell_area**2 / (
+            4.0 * np.pi**2 * grid.lx * grid.ly)
+        np.testing.assert_allclose(periodogram(f, grid), expected,
+                                   rtol=1e-12, atol=1e-15 * expected.max())
+
+    def test_half_planes_sum_then_mirror_exactly(self, grid128, rng):
+        fields = [rng.standard_normal(grid128.shape) for _ in range(3)]
+        full = sum(periodogram(f, grid128, demean=False) for f in fields)
+        half = sum(half_periodogram(f, grid128) for f in fields)
+        assert np.array_equal(mirror_half_spectrum(half, grid128.ny), full)
 
     def test_ensemble_mean_recovers_spectrum(self, grid128, spec):
         reals = [convolve_full(spec, grid128, seed=i) for i in range(24)]
