@@ -97,11 +97,10 @@ its own verification report.  Recorded in
 
 Also times a serial 4096^2 run from a ``GenerationSpec`` to a verified
 store (``run_spec(..., verify=True)``; 512^2 tiles, 129^2 kernel, 256^2
-noise blocks) and reads the noise plane's own ``rng.*`` counters from a
-traced run.  Fails when the run draws more than
-``--max-noise-block-equivalents`` (default 480) noise blocks' worth of
-rows — a count, not a time, so the row does not move with machine
-speed — or when the surface fails its verification report.  Recorded in
+noise blocks) under tracing and reads the noise plane's own ``rng.*``
+counters.  Fails when the run draws more than ``NOISE_MAX_BLOCKS_DRAWN``
+(576) noise blocks — a count, not a time, so the row does not move with
+machine speed — or when the surface fails its verification report.  Recorded in
 ``benchmarks/out/noise_reuse.json``; ``--skip-noise-reuse`` skips it.
 
 Usage (CI tier-2, after running the benches)::
@@ -1055,13 +1054,21 @@ def measure_verify_overhead() -> dict:
     }
 
 
+#: Noise blocks the noise-reuse row's run may draw: one per block a tile's
+#: window does not share with the previous tile's.  Only meaningful for
+#: the geometry ``measure_noise_reuse`` fixes: 4096^2 in 512^2 tiles,
+#: 129^2 kernel, 256^2 blocks (1024 block reads, 324 distinct blocks).
+NOISE_MAX_BLOCKS_DRAWN = 576
+
+
 def measure_noise_reuse() -> dict:
-    """Time a serial 4096^2 spec-to-verified-store run; count its noise draws.
+    """Time a traced serial 4096^2 spec-to-verified-store run; count its
+    noise draws.
 
     Each 512^2 tile reads a 640^2 halo window spanning 4x4 noise blocks
-    of 256^2: 1024 block reads per run.  The row records the wall time
-    of an untraced run and, from a traced run, the plane's ``rng.*``
-    counters and ``rng.noise`` span.  Only the count is gated.
+    of 256^2: 1024 block reads per run.  The row records the run's wall
+    time, the plane's ``rng.*`` counters and its ``rng.noise`` span.
+    Only the count is gated.
     """
     import os
     import shutil
@@ -1077,68 +1084,57 @@ def measure_noise_reuse() -> dict:
     surface_n = 4096
     noise_block = 256
     scratch = Path(tempfile.mkdtemp(prefix="noise-gate-"))
-
-    def run(seed: int):
-        run_dir = scratch / str(seed)
-        spec = GenerationSpec(
-            generator={
-                "kind": "convolution",
-                "spectrum": {"kind": "gaussian", "h": 1.0,
-                             "clx": 24.0, "cly": 24.0},
-                "grid": {"nx": 256, "ny": 256, "lx": 256.0, "ly": 256.0},
-                "truncation": list(OBS_TRUNC),
-            },
-            seed=seed, noise_block=noise_block,
-            plan={"total_nx": surface_n, "total_ny": surface_n,
-                  "tile_nx": OBS_TILE, "tile_ny": OBS_TILE},
-            store_path=str(run_dir / "store"),
-        )
-        t0 = time.perf_counter()
-        surface = run_spec(spec, checkpoint=run_dir / "ckpt", verify=True)
-        elapsed = time.perf_counter() - t0
-        shutil.rmtree(run_dir, ignore_errors=True)
-        return elapsed, bool(surface.provenance["verify"]["passed"])
-
+    spec = GenerationSpec(
+        generator={
+            "kind": "convolution",
+            "spectrum": {"kind": "gaussian", "h": 1.0,
+                         "clx": 24.0, "cly": 24.0},
+            "grid": {"nx": 256, "ny": 256, "lx": 256.0, "ly": 256.0},
+            "truncation": list(OBS_TRUNC),
+        },
+        seed=1, noise_block=noise_block,
+        plan={"total_nx": surface_n, "total_ny": surface_n,
+              "tile_nx": OBS_TILE, "tile_ny": OBS_TILE},
+        store_path=str(scratch / "store"),
+    )
     try:
-        with obs.recording() as rec:  # also warms the plan cache
-            traced_s, traced_ok = run(1)
-        wall_s, ok = run(2)
+        with obs.recording() as rec:
+            t0 = time.perf_counter()
+            surface = run_spec(spec, checkpoint=scratch / "ckpt",
+                               verify=True)
+            wall_s = time.perf_counter() - t0
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     counters = rec.metrics.counters("rng.")
     drawn = counters.get("rng.blocks_drawn", 0)
     reused = counters.get("rng.blocks_reused", 0)
-    rows = counters.get("rng.rows_drawn", 0)
     return {
-        "claim": "a serial 4096^2 spec-to-verified-store run draws <=480 "
-                 "noise block-equivalents (512^2 tiles, 129^2 kernel, "
-                 "256^2 blocks)",
+        "claim": f"a serial 4096^2 spec-to-verified-store run draws "
+                 f"<={NOISE_MAX_BLOCKS_DRAWN} noise blocks (512^2 tiles, "
+                 f"129^2 kernel, 256^2 blocks)",
         "surface": [surface_n, surface_n],
         "tile": [OBS_TILE, OBS_TILE],
         "kernel": [2 * OBS_TRUNC[0] + 1, 2 * OBS_TRUNC[1] + 1],
         "noise_block": noise_block,
-        "wall_s": wall_s,
-        "traced_wall_s": traced_s,
+        "traced_wall_s": wall_s,
         "rng_noise_s": rec.span_stats().get(
             "rng.noise", {}).get("total_s", 0.0),
         "blocks_requested": drawn + reused,
         "blocks_drawn": drawn,
         "blocks_reused": reused,
-        "rows_drawn": rows,
-        "block_equivalents_drawn": rows / noise_block,
-        "verify_passed": ok and traced_ok,
+        "verify_passed": bool(surface.provenance["verify"]["passed"]),
     }
 
 
-def check_noise_reuse(row: dict, max_block_equivalents: float) -> list:
+def check_noise_reuse(row: dict) -> list:
     """Gate failures for the noise-reuse row."""
     failures = []
-    drawn = row["block_equivalents_drawn"]
-    if not drawn <= max_block_equivalents:  # catches NaN too
+    drawn = row["blocks_drawn"]
+    if not drawn <= NOISE_MAX_BLOCKS_DRAWN:  # catches NaN too
         failures.append(
-            f"the 4096^2 run drew {drawn:.1f} noise block-equivalents, "
-            f"over the {max_block_equivalents:g} allowed — the plane "
-            f"is redrawing blocks its neighbouring tiles already drew"
+            f"the 4096^2 run drew {drawn} noise blocks, over the "
+            f"{NOISE_MAX_BLOCKS_DRAWN} allowed — the plane is redrawing "
+            f"blocks its neighbouring tiles already drew"
         )
     if not row["verify_passed"]:
         failures.append("the noise-reuse run failed its verification report")
@@ -1296,10 +1292,6 @@ def main(argv=None) -> int:
                              "verify_overhead.json)")
     parser.add_argument("--skip-verify", action="store_true",
                         help="skip the verification-overhead measurement")
-    parser.add_argument("--max-noise-block-equivalents", type=float,
-                        default=480.0,
-                        help="max noise blocks' worth of rows a serial "
-                             "4096^2 run may draw (default: 480)")
     parser.add_argument("--noise-results", type=Path,
                         default=DEFAULT_NOISE_RESULTS,
                         help="where to record the noise-reuse row "
@@ -1502,14 +1494,12 @@ def main(argv=None) -> int:
         noise_row = measure_noise_reuse()
         _write_row(args.noise_results, noise_row)
         print(
-            f"noise gate: wall {noise_row['wall_s']:.3f}s, "
+            f"noise gate: traced wall {noise_row['traced_wall_s']:.3f}s, "
             f"{noise_row['blocks_drawn']} of "
-            f"{noise_row['blocks_requested']} block reads drawn, "
-            f"{noise_row['block_equivalents_drawn']:.1f} block-equivalents "
-            f"(rng.noise {noise_row['rng_noise_s']:.3f}s traced)"
+            f"{noise_row['blocks_requested']} block reads drawn "
+            f"(rng.noise {noise_row['rng_noise_s']:.3f}s)"
         )
-        failures += check_noise_reuse(noise_row,
-                                      args.max_noise_block_equivalents)
+        failures += check_noise_reuse(noise_row)
 
     try:
         results = json.loads(args.results.read_text())

@@ -83,7 +83,12 @@ def gen():
 def _per_region_window(gen, noise, x0, y0, nx, ny):
     """The PR 1 per-region path, replicated verbatim: one noise-window
     read and one forward+inverse FFT round-trip per region of the
-    window's weight map, then the eqn-(37) blend."""
+    window's weight map, then the eqn-(37) blend.
+
+    Each region reads its window from a fresh plane with ``noise``'s
+    seed and block: the path draws every block of every region's window,
+    as it did before planes cached blocks, instead of having the
+    repeated reads of one tile served from ``noise``'s cache."""
     win_grid = gen.grid.with_shape(nx, ny)
     origin = (x0 * gen.grid.dx, y0 * gen.grid.dy)
     wm = gen.layout.weight_map(win_grid, origin=origin)
@@ -91,7 +96,8 @@ def _per_region_window(gen, noise, x0, y0, nx, ny):
     for spec in wm.spectra:
         kern = gen._kernel_for(spec)
         wx0, wy0, wnx, wny = noise_window_for(kern, x0, y0, nx, ny)
-        window = noise.window(wx0, wy0, wnx, wny)
+        window = BlockNoise(noise.seed, noise.block).window(wx0, wy0,
+                                                            wnx, wny)
         fields.append(apply_kernel_valid(kern, window, engine=gen.engine))
     return blend_fields(wm.weights, fields)
 

@@ -56,7 +56,6 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 from scipy import fft as sfft
-from scipy import signal
 
 from .. import obs
 from .api import HeightField, merge_provenance, traced
@@ -382,6 +381,10 @@ def _apply_kernel_valid_fftconvolve(kernel: Kernel, noise: np.ndarray
     (``benchmarks/check_engine_gate.py``) and as an extra cross-check in
     the equivalence tests.  Not part of the public engine choices.
     """
+    # imported here: scipy.signal takes ~1 s to import and nothing on the
+    # production path needs it
+    from scipy import signal
+
     noise = _check_valid_shapes(kernel, noise)
     flipped = kernel.values[::-1, ::-1]
     out = signal.fftconvolve(noise, flipped, mode="valid")

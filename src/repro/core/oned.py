@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy import integrate, signal, special
+from scipy import integrate, special
 
 from .api import HeightField, merge_provenance, traced
 from .rng import SeedLike, as_generator, standard_normal_field
@@ -352,6 +352,8 @@ class ProfileGenerator:
         if self.engine == "spatial":
             return np.convolve(padded, self.kernel.values[::-1],
                                mode="valid")
+        from scipy import signal  # ~1 s to import; only this path uses it
+
         return signal.fftconvolve(padded, self.kernel.values[::-1],
                                   mode="valid")
 

@@ -30,6 +30,7 @@ This module provides:
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
@@ -49,8 +50,8 @@ __all__ = [
 ]
 
 #: Byte bound on one :class:`BlockNoise` plane's block cache.  The cache
-#: holds the blocks of the most recent window, but never more full
-#: float64 blocks than fit in this many bytes.
+#: holds the blocks of each reading thread's most recent window, but
+#: never more full float64 blocks than fit in this many bytes.
 BLOCK_CACHE_BYTES = 64 * 2**20
 
 SeedLike = Union[None, int, np.random.SeedSequence, np.random.Generator]
@@ -164,16 +165,14 @@ class BlockNoise:
     origin.
 
     Each plane keeps a small least-recently-used cache of the blocks it
-    drew, sized to the block count of the most recent window and capped
-    at :data:`BLOCK_CACHE_BYTES`.  Row-major tiles overlap their
-    predecessor's halo, so the next tile reuses the blocks they share
-    instead of redrawing them.  A block is filled in C order, so a
-    window that needs only the first ``r`` rows of a block draws only
-    those (a prefix draw) and caches the prefix; a later window that
-    needs more rows redraws the block longer.  Values never depend on
-    the cache: every block is a pure function of its key.  Cached
-    blocks are read-only; :meth:`window` always returns a fresh array.
-    The cache belongs to this instance: a pickled plane carries only
+    drew, sized to the block count of the most recent window (with
+    several threads reading, of each live thread's most recent window)
+    and capped at :data:`BLOCK_CACHE_BYTES`.  Row-major tiles
+    overlap their predecessor's halo, so the next tile reuses the blocks
+    they share instead of redrawing them.  Values never depend on the
+    cache: every block is a pure function of its key.  Cached blocks
+    are read-only; :meth:`window` always returns a fresh array.  The
+    cache belongs to this instance: a pickled plane carries only
     ``(seed, block)``, and threads may share one plane (a block two
     threads miss at once is drawn twice, harmlessly).
 
@@ -204,37 +203,37 @@ class BlockNoise:
         self._lock = threading.Lock()
         self._cache: "OrderedDict[Tuple[int, int], np.ndarray]" = OrderedDict()
         self._max_blocks = max(1, BLOCK_CACHE_BYTES // (8 * self.block**2))
+        # block count of each live thread's latest window on this plane
+        self._readers: "weakref.WeakKeyDictionary[threading.Thread, int]" = (
+            weakref.WeakKeyDictionary())
 
     def __reduce__(self):
         return (type(self), (self.seed, self.block))
 
     # -- internal ------------------------------------------------------
-    def _block_values(self, bx: int, by: int, rows: Optional[int] = None) -> np.ndarray:
-        """The first ``rows`` rows (default: all) of block ``(bx, by)``."""
+    def _block_values(self, bx: int, by: int) -> np.ndarray:
+        """The ``(block, block)`` noise values of block ``(bx, by)``."""
         # Zigzag-encode signed block coords into the non-negative key words
         # Philox expects; distinct (bx, by) always map to distinct keys.
         kx = 2 * bx if bx >= 0 else -2 * bx - 1
         ky = 2 * by if by >= 0 else -2 * by - 1
         ss = np.random.SeedSequence(entropy=[self.seed, kx, ky])
         gen = np.random.Generator(np.random.Philox(seed=ss))
-        return gen.standard_normal((self.block if rows is None else rows, self.block))
+        return gen.standard_normal((self.block, self.block))
 
-    def _cached_block(self, bx: int, by: int, rows: int) -> Tuple[np.ndarray, bool]:
-        """At least ``rows`` rows of block ``(bx, by)``, and whether they
-        had to be drawn.  Draws happen outside the lock."""
+    def _cached_block(self, bx: int, by: int) -> Tuple[np.ndarray, bool]:
+        """Block ``(bx, by)`` and whether it had to be drawn.  Draws
+        happen outside the lock."""
         key = (bx, by)
         with self._lock:
             vals = self._cache.get(key)
-            if vals is not None and vals.shape[0] >= rows:
+            if vals is not None:
                 self._cache.move_to_end(key)
                 return vals, False
-        vals = self._block_values(bx, by, rows)
+        vals = self._block_values(bx, by)
         vals.flags.writeable = False
         with self._lock:
-            held = self._cache.get(key)
-            if held is None or held.shape[0] < vals.shape[0]:
-                self._cache[key] = vals
-            self._cache.move_to_end(key)
+            self._cache[key] = vals
             self._trim(self._max_blocks)
         return vals, True
 
@@ -260,29 +259,31 @@ class BlockNoise:
         bx1 = (x0 + nx - 1) // b
         by0 = y0 // b
         by1 = (y0 + ny - 1) // b
-        drawn = reused = rows_drawn = 0
+        drawn = reused = 0
+        with self._lock:
+            self._readers[threading.current_thread()] = (
+                (bx1 - bx0 + 1) * (by1 - by0 + 1))
         with obs.trace("rng.noise"):
             for bx in range(bx0, bx1 + 1):
                 gx0 = max(x0, bx * b)
                 gx1 = min(x0 + nx, (bx + 1) * b)
-                rows = gx1 - bx * b
                 for by in range(by0, by1 + 1):
                     gy0 = max(y0, by * b)
                     gy1 = min(y0 + ny, (by + 1) * b)
-                    vals, fresh = self._cached_block(bx, by, rows)
+                    vals, fresh = self._cached_block(bx, by)
                     if fresh:
                         drawn += 1
-                        rows_drawn += rows
                     else:
                         reused += 1
                     out[gx0 - x0 : gx1 - x0, gy0 - y0 : gy1 - y0] = vals[
-                        gx0 - bx * b : rows, gy0 - by * b : gy1 - by * b
+                        gx0 - bx * b : gx1 - bx * b, gy0 - by * b : gy1 - by * b
                     ]
+            # Keep every reading thread's latest window: the next tile, on
+            # whichever thread, shares blocks with its neighbours' windows.
             with self._lock:
-                self._trim((bx1 - bx0 + 1) * (by1 - by0 + 1))
+                self._trim(sum(self._readers.values()))
         obs.add("rng.blocks_drawn", drawn)
         obs.add("rng.blocks_reused", reused)
-        obs.add("rng.rows_drawn", rows_drawn)
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -25,7 +25,7 @@ import math
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special, stats as sstats
+from scipy import special
 
 from .surface import Surface
 
@@ -75,8 +75,10 @@ def lognormal_transform(
     """Lognormal marginal (positively skewed, e.g. eroded terrain)."""
     if sigma <= 0 or scale <= 0:
         raise ValueError("sigma and scale must be positive")
+    from scipy import stats  # ~0.4 s to import; only these marginals use it
+
     return gaussian_to_marginal(
-        field, lambda u: sstats.lognorm.ppf(u, s=sigma, scale=scale), std=std
+        field, lambda u: stats.lognorm.ppf(u, s=sigma, scale=scale), std=std
     )
 
 
@@ -87,8 +89,10 @@ def weibull_transform(
     """Weibull marginal (shape < 3.6 => positive skew; ~3.6 => symmetric)."""
     if shape <= 0 or scale <= 0:
         raise ValueError("shape and scale must be positive")
+    from scipy import stats
+
     return gaussian_to_marginal(
-        field, lambda u: sstats.weibull_min.ppf(u, c=shape, scale=scale),
+        field, lambda u: stats.weibull_min.ppf(u, c=shape, scale=scale),
         std=std,
     )
 

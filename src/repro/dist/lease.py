@@ -52,9 +52,12 @@ from ..parallel.tiles import Tile
 
 __all__ = ["LeaseLedger", "Lease"]
 
-#: Bounds for the "come back later" hint handed to idle workers.
+#: Bounds for the "come back later" hint handed to idle workers.  The
+#: upper bound is also how late an idle worker learns that the last
+#: leased tile completed the run, which delays the coordinator's
+#: orderly shutdown by as much.
 _MIN_WAIT_S = 0.05
-_MAX_WAIT_S = 1.0
+_MAX_WAIT_S = 0.1
 
 
 @dataclass

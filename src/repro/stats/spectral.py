@@ -25,8 +25,6 @@ from ..core.grid import Grid2D
 
 __all__ = [
     "periodogram",
-    "half_periodogram",
-    "mirror_half_spectrum",
     "welch_spectrum",
     "radial_spectrum",
     "ensemble_spectrum",
@@ -45,23 +43,23 @@ def periodogram(heights: np.ndarray, grid: Grid2D, demean: bool = True) -> np.nd
         raise ValueError(f"heights shape {f.shape} != grid shape {grid.shape}")
     if demean:
         f = f - f.mean()
-    return mirror_half_spectrum(half_periodogram(f, grid), f.shape[1])
+    return _mirror_half_spectrum(_half_periodogram(f, grid), f.shape[1])
 
 
-def half_periodogram(f: np.ndarray, grid: Grid2D) -> np.ndarray:
+def _half_periodogram(f: np.ndarray, grid: Grid2D) -> np.ndarray:
     """The non-negative-``ky`` half of :func:`periodogram` (no demeaning).
 
     ``f`` is real, so its spectrum is Hermitian and the half plane from
     ``rfft2`` carries every value; sums of half periodograms mirror to
-    the sum of the full ones (:func:`mirror_half_spectrum`).
+    the sum of the full ones (:func:`_mirror_half_spectrum`).
     """
     spec = sfft.rfft2(f)
     return (spec.real**2 + spec.imag**2) * (
         grid.cell_area**2 / (4.0 * np.pi**2 * grid.lx * grid.ly))
 
 
-def mirror_half_spectrum(half: np.ndarray, ny: int) -> np.ndarray:
-    """Expand a :func:`half_periodogram` to the full ``(nx, ny)`` grid.
+def _mirror_half_spectrum(half: np.ndarray, ny: int) -> np.ndarray:
+    """Expand a :func:`_half_periodogram` to the full ``(nx, ny)`` grid.
 
     ``|F(-k)| = |F(k)|``, so column ``ny - k`` of the full grid is
     column ``k`` with its rows negated (mod ``nx``).

@@ -24,7 +24,7 @@ from typing import Callable, Dict, Sequence, Tuple, Union
 import numpy as np
 
 from ..core.grid import Grid2D
-from ..stats.spectral import half_periodogram, mirror_half_spectrum
+from ..stats.spectral import _half_periodogram, _mirror_half_spectrum
 
 __all__ = ["choose_segment", "stream_statistics"]
 
@@ -210,7 +210,7 @@ def stream_statistics(
             # mirrored once at the end, which is exact: mirroring only
             # permutes elements.
             patch = (win - win_sum / win.size) * taper
-            psd_acc += half_periodogram(patch, sub)
+            psd_acc += _half_periodogram(patch, sub)
             n_windows += 1
 
     mean = h_sum / n_samples
@@ -244,6 +244,6 @@ def stream_statistics(
         "acf": acf,
         "members": len(readers),
         "psd_grid": sub,
-        "psd": mirror_half_spectrum(psd_acc, seg) / (n_windows * norm),
+        "psd": _mirror_half_spectrum(psd_acc, seg) / (n_windows * norm),
         "psd_windows": n_windows,
     }

@@ -145,34 +145,38 @@ class TestCheckInhomo:
         assert len(failures) == 3
 
 
-def _noise_row(block_equivalents=468.0, verify_passed=True):
-    return {"wall_s": 2.4, "rng_noise_s": 0.9, "blocks_requested": 1024,
-            "blocks_drawn": 576, "blocks_reused": 448,
-            "rows_drawn": block_equivalents * 256,
-            "block_equivalents_drawn": block_equivalents,
+def _noise_row(blocks_drawn=576, verify_passed=True):
+    return {"traced_wall_s": 2.4, "rng_noise_s": 0.9,
+            "blocks_requested": 1024, "blocks_drawn": blocks_drawn,
+            "blocks_reused": 1024 - blocks_drawn,
             "verify_passed": verify_passed}
 
 
 class TestCheckNoiseReuse:
     def test_one_window_cache_count_passes(self):
-        assert gate.check_noise_reuse(_noise_row(), 480) == []
+        assert gate.check_noise_reuse(_noise_row()) == []
 
     def test_bound_is_inclusive(self):
-        assert gate.check_noise_reuse(_noise_row(480.0), 480) == []
+        row = _noise_row(gate.NOISE_MAX_BLOCKS_DRAWN)
+        assert gate.check_noise_reuse(row) == []
+
+    def test_one_block_over_fails(self):
+        row = _noise_row(gate.NOISE_MAX_BLOCKS_DRAWN + 1)
+        assert len(gate.check_noise_reuse(row)) == 1
 
     def test_redrawing_every_block_fails(self):
-        failures = gate.check_noise_reuse(_noise_row(1024.0), 480)
-        assert len(failures) == 1 and "1024.0" in failures[0]
+        failures = gate.check_noise_reuse(_noise_row(1024))
+        assert len(failures) == 1 and "1024" in failures[0]
 
     def test_nan_count_fails(self):
-        assert len(gate.check_noise_reuse(_noise_row(math.nan), 480)) == 1
+        assert len(gate.check_noise_reuse(_noise_row(math.nan))) == 1
 
     def test_red_verify_fails(self):
-        failures = gate.check_noise_reuse(_noise_row(verify_passed=False), 480)
+        failures = gate.check_noise_reuse(_noise_row(verify_passed=False))
         assert len(failures) == 1 and "verification" in failures[0]
 
     @pytest.mark.parametrize("row, code", [(_noise_row(), 0),
-                                           (_noise_row(1024.0), 1)])
+                                           (_noise_row(1024), 1)])
     def test_main_gates_the_row(self, tmp_path, monkeypatch, capsys,
                                 row, code):
         monkeypatch.setattr(gate, "measure_noise_reuse", lambda: row)
@@ -181,7 +185,8 @@ class TestCheckNoiseReuse:
         out = tmp_path / "noise_reuse.json"
         assert gate.main(argv + ["--noise-results", str(out)]) == code
         assert "noise gate:" in capsys.readouterr().out
-        assert json.loads(out.read_text())["blocks_drawn"] == 576
+        assert (json.loads(out.read_text())["blocks_drawn"]
+                == row["blocks_drawn"])
 
 
 class TestMain:

@@ -2,6 +2,7 @@
 
 import pickle
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -204,7 +205,7 @@ class TestBlockCache:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32), block=st.integers(8, 32),
            windows=st.lists(_windows, min_size=1, max_size=6))
-    # a 3-row prefix of block (0, 0) is cached, then all 16 rows needed
+    # block (0, 0) is cached by a short window, then read by a taller one
     @example(seed=1, block=16, windows=[(0, 0, 3, 8), (0, 0, 16, 16)])
     def test_window_sequence_matches_fresh_planes(self, seed, block, windows):
         plane = BlockNoise(seed, block)
@@ -215,21 +216,14 @@ class TestBlockCache:
             assert np.array_equal(got, _reference_window(
                 seed, block, x0, y0, nx, ny))
 
-    @pytest.mark.parametrize("rows", [1, 7, 16, 31])
-    def test_prefix_draw_is_the_blocks_first_rows(self, rows):
-        plane = BlockNoise(seed=9, block=32)
-        full = plane._block_values(-2, 3)
-        assert np.array_equal(plane._block_values(-2, 3, rows), full[:rows])
-
-    def test_longer_prefix_is_redrawn(self):
+    def test_repeated_window_draws_each_block_once(self):
         plane = BlockNoise(seed=4, block=16)
         with obs.recording() as rec:
             plane.window(0, 0, 3, 16)
             plane.window(0, 0, 3, 16)
             tall = plane.window(0, 0, 16, 16)
         counters = rec.metrics.counters("rng.")
-        assert counters == {"rng.blocks_drawn": 2, "rng.blocks_reused": 1,
-                            "rng.rows_drawn": 3 + 16}
+        assert counters == {"rng.blocks_drawn": 1, "rng.blocks_reused": 2}
         assert np.array_equal(tall, _reference_window(4, 16, 0, 0, 16, 16))
 
     def test_cached_blocks_are_read_only(self):
@@ -274,10 +268,31 @@ class TestBlockCache:
         counters = rec.metrics.counters("rng.")
         assert (counters["rng.blocks_drawn"] + counters["rng.blocks_reused"]
                 == 3 * 16 * len(windows))
-        # every window ends by trimming the cache to its own 4x4 blocks
-        assert len(shared._cache) <= 16
+        # every window ends by trimming the cache to the 4x4 blocks of
+        # each reading thread's latest window
+        assert len(shared._cache) <= 16 * 8
         assert all(v.shape[1] == 8 and not v.flags.writeable
                    for v in shared._cache.values())
+
+    def test_blocks_another_thread_read_are_kept(self):
+        """Tiles finish out of order across threads: one thread reads
+        tile 1, then the main thread reads tile 0 and tile 2.  Trimming to
+        tile 0's window alone would evict the tile 1 blocks tile 2
+        needs; each block is drawn once instead."""
+        block = 16
+        windows = [(-8, y0 - 8, 48, 48) for y0 in (0, 32, 64)]
+        plane = BlockNoise(seed=3, block=block)
+        with obs.recording() as rec:
+            other = threading.Thread(target=plane.window, args=windows[1])
+            other.start()
+            other.join(timeout=60)
+            assert not other.is_alive()
+            plane.window(*windows[0])
+            plane.window(*windows[2])
+        distinct = set().union(*(_window_blocks(block, *w)
+                                 for w in windows))
+        assert rec.metrics.counters("rng.")["rng.blocks_drawn"] == \
+            len(distinct)
 
     def test_row_major_sweep_draws_one_window_cache_count(self):
         from repro.parallel.tiles import TilePlan

@@ -9,8 +9,8 @@ from repro.core.spectra import GaussianSpectrum
 from repro.core.weights import weight_array
 from repro.stats.spectral import (
     ensemble_spectrum,
-    half_periodogram,
-    mirror_half_spectrum,
+    _half_periodogram,
+    _mirror_half_spectrum,
     periodogram,
     radial_spectrum,
     spectrum_axis_profile,
@@ -55,8 +55,8 @@ class TestPeriodogram:
     def test_half_planes_sum_then_mirror_exactly(self, grid128, rng):
         fields = [rng.standard_normal(grid128.shape) for _ in range(3)]
         full = sum(periodogram(f, grid128, demean=False) for f in fields)
-        half = sum(half_periodogram(f, grid128) for f in fields)
-        assert np.array_equal(mirror_half_spectrum(half, grid128.ny), full)
+        half = sum(_half_periodogram(f, grid128) for f in fields)
+        assert np.array_equal(_mirror_half_spectrum(half, grid128.ny), full)
 
     def test_ensemble_mean_recovers_spectrum(self, grid128, spec):
         reals = [convolve_full(spec, grid128, seed=i) for i in range(24)]
