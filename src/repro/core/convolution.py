@@ -849,10 +849,9 @@ class ConvolutionGenerator:
     ) -> HeightField:
         """Window ``[x0, x0+nx) x [y0, y0+ny)`` of the infinite surface."""
         with traced(self, trace, "generate_window"):
-            heights = generate_window(
-                self.kernel, noise, x0, y0, nx, ny, engine=self.engine,
-                dtype=self.dtype,
-            )
+            window = noise.window(*self.noise_window(x0, y0, nx, ny))
+            heights = apply_kernel_valid(self.kernel, window,
+                                         engine=self.engine, dtype=self.dtype)
         record = {
             "method": "convolution-window",
             "window": [x0, y0, nx, ny],
@@ -863,6 +862,12 @@ class ConvolutionGenerator:
         return HeightField.wrap(
             heights, merge_provenance(record, provenance)
         )
+
+    def noise_window(self, x0: int, y0: int, nx: int, ny: int
+                     ) -> Tuple[int, int, int, int]:
+        """The noise window ``(wx0, wy0, wnx, wny)`` that
+        :meth:`generate_window` reads for output ``(x0, y0, nx, ny)``."""
+        return noise_window_for(self.kernel, x0, y0, nx, ny)
 
     @property
     def footprint(self) -> Tuple[int, int]:

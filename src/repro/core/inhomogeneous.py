@@ -386,12 +386,22 @@ class InhomogeneousGenerator:
 
     @property
     def kernels(self) -> List[Kernel]:
-        """One truncated kernel per distinct spectrum (computed once)."""
+        """One truncated kernel per distinct spectrum (computed once).
+
+        Every layout lists all of its spectra, in one order, in every
+        weight map (with possibly all-zero weights), so a one-sample map
+        names the kernel batch of every grid and window.
+        """
         if self._kernels is None:
-            self._kernels = [
-                self._kernel_for(s) for s in self.weight_map.spectra
-            ]
+            probe = self.layout.weight_map(self.grid.with_shape(1, 1))
+            self._kernels = [self._kernel_for(s) for s in probe.spectra]
         return self._kernels
+
+    def noise_window(self, x0: int, y0: int, nx: int, ny: int
+                     ) -> Tuple[int, int, int, int]:
+        """The noise window ``(wx0, wy0, wnx, wny)`` that
+        :meth:`generate_window` reads for output ``(x0, y0, nx, ny)``."""
+        return batched_noise_window_for(self.kernels, x0, y0, nx, ny)
 
     def _kernel_for(self, spectrum: Spectrum) -> Kernel:
         """Kernel for one spectrum, cached by spectrum value.
@@ -502,16 +512,12 @@ class InhomogeneousGenerator:
         origin = (x0 * self.grid.dx, y0 * self.grid.dy)
         with obs.trace("fields.weight_map"):
             wm = self.layout.weight_map(win_grid, origin=origin)
-        # Kernels match the distinct spectra of this window's weight map;
-        # every layout lists all regions in every window (with possibly
-        # all-zero weights), so the kernel batch — and hence the common
-        # margins and block geometry — is the same for every tile.
+        # Kernels match the distinct spectra of this window's weight map:
+        # the batch of noise_window, so the common margins and block
+        # geometry are the same for every tile.
         kernels = [self._kernel_for(s) for s in wm.spectra]
         margins = common_margins(kernels)
-        wx0, wy0, wnx, wny = batched_noise_window_for(
-            kernels, x0, y0, nx, ny, margins=margins
-        )
-        window = noise.window(wx0, wy0, wnx, wny)
+        window = noise.window(*self.noise_window(x0, y0, nx, ny))
         # Active set: regions with zero blend weight everywhere in this
         # window are not convolved at all.  Margins stay those of the
         # full batch, so pruning is bit-transparent.

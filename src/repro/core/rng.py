@@ -173,8 +173,11 @@ class BlockNoise:
     cache: every block is a pure function of its key.  Cached blocks
     are read-only; :meth:`window` always returns a fresh array.  The
     cache belongs to this instance: a pickled plane carries only
-    ``(seed, block)``, and threads may share one plane (a block two
-    threads miss at once is drawn twice, harmlessly).
+    ``(seed, block)``, and threads may share one plane.  A block two
+    threads miss at once is drawn once: the second thread waits for the
+    first thread's draw (and draws the block itself if that draw
+    fails).  :meth:`prefetch` fills the cache for a window ahead of the
+    thread that will read it.
 
     Parameters
     ----------
@@ -202,6 +205,8 @@ class BlockNoise:
         self.block = int(block)
         self._lock = threading.Lock()
         self._cache: "OrderedDict[Tuple[int, int], np.ndarray]" = OrderedDict()
+        # blocks some thread is drawing right now, set when the draw ends
+        self._drawing: "dict[Tuple[int, int], threading.Event]" = {}
         self._max_blocks = max(1, BLOCK_CACHE_BYTES // (8 * self.block**2))
         # block count of each live thread's latest window on this plane
         self._readers: "weakref.WeakKeyDictionary[threading.Thread, int]" = (
@@ -222,25 +227,51 @@ class BlockNoise:
         return gen.standard_normal((self.block, self.block))
 
     def _cached_block(self, bx: int, by: int) -> Tuple[np.ndarray, bool]:
-        """Block ``(bx, by)`` and whether it had to be drawn.  Draws
-        happen outside the lock."""
+        """Block ``(bx, by)`` and whether this call drew it.
+
+        Draws happen outside the lock.  A block another thread is
+        drawing is waited for, not drawn again; if that draw fails, the
+        waiting thread draws the block itself.
+        """
         key = (bx, by)
-        with self._lock:
-            vals = self._cache.get(key)
-            if vals is not None:
-                self._cache.move_to_end(key)
-                return vals, False
-        vals = self._block_values(bx, by)
-        vals.flags.writeable = False
-        with self._lock:
-            self._cache[key] = vals
-            self._trim(self._max_blocks)
+        while True:
+            with self._lock:
+                vals = self._cache.get(key)
+                if vals is not None:
+                    self._cache.move_to_end(key)
+                    return vals, False
+                drawing = self._drawing.get(key)
+                if drawing is None:
+                    drawing = self._drawing[key] = threading.Event()
+                    break
+            drawing.wait()
+        try:
+            vals = self._block_values(bx, by)
+            vals.flags.writeable = False
+        finally:
+            with self._lock:
+                del self._drawing[key]
+                if vals is not None:
+                    self._cache[key] = vals
+                    self._trim(self._max_blocks)
+            drawing.set()
         return vals, True
 
     def _trim(self, capacity: int) -> None:
         """Evict least-recently-used blocks down to ``capacity`` (lock held)."""
         while len(self._cache) > capacity:
             self._cache.popitem(last=False)
+
+    def _blocks(self, x0: int, y0: int, nx: int, ny: int
+                ) -> Tuple[range, range]:
+        """Block coordinates covering a non-empty window.  Records the
+        window's block count as the calling thread's share of the cache."""
+        b = self.block
+        bxs = range(x0 // b, (x0 + nx - 1) // b + 1)
+        bys = range(y0 // b, (y0 + ny - 1) // b + 1)
+        with self._lock:
+            self._readers[threading.current_thread()] = len(bxs) * len(bys)
+        return bxs, bys
 
     # -- public --------------------------------------------------------
     def window(self, x0: int, y0: int, nx: int, ny: int) -> np.ndarray:
@@ -255,19 +286,13 @@ class BlockNoise:
         if nx == 0 or ny == 0:
             return out
         b = self.block
-        bx0 = x0 // b
-        bx1 = (x0 + nx - 1) // b
-        by0 = y0 // b
-        by1 = (y0 + ny - 1) // b
+        bxs, bys = self._blocks(x0, y0, nx, ny)
         drawn = reused = 0
-        with self._lock:
-            self._readers[threading.current_thread()] = (
-                (bx1 - bx0 + 1) * (by1 - by0 + 1))
         with obs.trace("rng.noise"):
-            for bx in range(bx0, bx1 + 1):
+            for bx in bxs:
                 gx0 = max(x0, bx * b)
                 gx1 = min(x0 + nx, (bx + 1) * b)
-                for by in range(by0, by1 + 1):
+                for by in bys:
                     gy0 = max(y0, by * b)
                     gy1 = min(y0 + ny, (by + 1) * b)
                     vals, fresh = self._cached_block(bx, by)
@@ -285,6 +310,37 @@ class BlockNoise:
         obs.add("rng.blocks_drawn", drawn)
         obs.add("rng.blocks_reused", reused)
         return out
+
+    def prefetch(self, x0: int, y0: int, nx: int, ny: int) -> None:
+        """Draw the missing blocks of window ``[x0, x0+nx) x [y0, y0+ny)``
+        into the cache, without building the window.
+
+        Meant for a helper thread running one window ahead of the thread
+        that will :meth:`window` it: that thread then finds the blocks
+        cached, or waits for the one still being drawn.  The calling
+        thread counts as a cache reader of this window, so another
+        thread's trim keeps the blocks it just drew.  It trims nothing
+        itself: the window the reader is about to read may be older than
+        the blocks drawn here, and only the reader's own trim, after that
+        read, may evict it.  Values are those of :meth:`window`; only who
+        draws a block, and when, changes.
+        """
+        if nx < 0 or ny < 0:
+            raise ValueError("window dimensions must be >= 0")
+        if nx == 0 or ny == 0:
+            return
+        bxs, bys = self._blocks(x0, y0, nx, ny)
+        drawn = 0
+        try:
+            with obs.trace("rng.prefetch"):
+                for bx in bxs:
+                    for by in bys:
+                        drawn += self._cached_block(bx, by)[1]
+        finally:
+            # counted even when a draw fails part way: every block drawn
+            # shows up in rng.blocks_drawn
+            obs.add("rng.blocks_drawn", drawn)
+            obs.add("rng.blocks_prefetched", drawn)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BlockNoise(seed={self.seed}, block={self.block})"

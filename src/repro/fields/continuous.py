@@ -262,6 +262,12 @@ class ContinuousGenerator:
         with traced(self, trace, "generate_window"):
             return self._generate_window(noise, x0, y0, nx, ny, provenance)
 
+    def noise_window(self, x0: int, y0: int, nx: int, ny: int
+                     ) -> Tuple[int, int, int, int]:
+        """The noise window ``(wx0, wy0, wnx, wny)`` that
+        :meth:`generate_window` reads for output ``(x0, y0, nx, ny)``."""
+        return batched_noise_window_for(self._kernels, x0, y0, nx, ny)
+
     def _generate_window(self, noise, x0, y0, nx, ny, provenance):
         win_grid = self.grid.with_shape(nx, ny)
         origin = (x0 * self.grid.dx, y0 * self.grid.dy)
@@ -270,10 +276,7 @@ class ContinuousGenerator:
             gx + origin[0], gy + origin[1]
         )
         margins = common_margins(self._kernels)
-        wx0, wy0, wnx, wny = batched_noise_window_for(
-            self._kernels, x0, y0, nx, ny, margins=margins
-        )
-        window = noise.window(wx0, wy0, wnx, wny)
+        window = noise.window(*self.noise_window(x0, y0, nx, ny))
         stats = BatchStats()
         fields = apply_kernels_valid(
             self._kernels, window,

@@ -6,7 +6,10 @@ supports windowed generation (anything satisfying the
 and assembles the tiles into one height array.  Three backends:
 
 ``serial``
-    Plain loop; the reference.
+    Plain loop; the reference.  One helper thread draws the next
+    tile's noise blocks (:meth:`~repro.core.rng.BlockNoise.prefetch`)
+    while the current tile convolves: numpy's Philox fill and
+    ``scipy.fft`` both release the GIL, so the two overlap.
 ``thread``
     ``ThreadPoolExecutor``.  NumPy's FFT and BLAS release the GIL for
     large arrays, so threads give genuine speedups with zero pickling
@@ -181,6 +184,39 @@ def _traced_tile(
         obs.observe("executor.tile_seconds", span.duration_s)
         obs.add("executor.tiles")
     return heights, prov, span.duration_s
+
+
+class _NoisePrefetch:
+    """One helper thread that draws a tile's noise blocks into the
+    plane's cache ahead of the serial loop reaching that tile.
+
+    Only generators that name their noise window (``noise_window``) get
+    a helper.  Blocks are pure functions of their key, so a prefetch
+    never changes a value; a prefetch that fails is dropped, and the
+    tile draws what is missing itself.  Leaving the ``with`` block
+    cancels queued prefetches and joins the thread.
+    """
+
+    def __init__(self, generator: WindowedGenerator, noise: BlockNoise):
+        self.window_of = getattr(generator, "noise_window", None)
+        self.prefetch = noise.prefetch
+        self.pool: Optional[cf.ThreadPoolExecutor] = None
+
+    def __enter__(self) -> "_NoisePrefetch":
+        if self.window_of is not None:
+            self.pool = cf.ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-noise-prefetch")
+        return self
+
+    def ahead(self, tile: Tile) -> None:
+        """Queue the noise window of ``tile``, the loop's next tile."""
+        if self.pool is not None:
+            self.pool.submit(self.prefetch, *self.window_of(
+                tile.x0, tile.y0, tile.nx, tile.ny))
+
+    def __exit__(self, *exc: Any) -> None:
+        if self.pool is not None:
+            self.pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _slim_provenance(prov: Optional[dict]) -> Optional[dict]:
@@ -464,20 +500,24 @@ class _ResilientRun:
                     obs.add("executor.degradations")
 
     def _run_serial(self) -> None:
-        while self.pending:
-            task = self.pending.popleft()
-            try:
-                self._fire(task)
-                heights, prov, dt = _traced_tile(
-                    self.generator, self.noise, task.tile
-                )
-            except Exception as exc:
-                self._record_failure(task, exc)
-                self.pending.appendleft(task._replace(attempt=task.attempt + 1))
-                continue
-            self.busy_s += dt
-            self._place(task.idx, task.tile, heights)
-            self._complete(task, prov)
+        with _NoisePrefetch(self.generator, self.noise) as prefetch:
+            while self.pending:
+                task = self.pending.popleft()
+                if self.pending:
+                    prefetch.ahead(self.pending[0].tile)
+                try:
+                    self._fire(task)
+                    heights, prov, dt = _traced_tile(
+                        self.generator, self.noise, task.tile
+                    )
+                except Exception as exc:
+                    self._record_failure(task, exc)
+                    self.pending.appendleft(
+                        task._replace(attempt=task.attempt + 1))
+                    continue
+                self.busy_s += dt
+                self._place(task.idx, task.tile, heights)
+                self._complete(task, prov)
 
     def _thread_tile(self, task: _Task, submit_ns: Optional[int]):
         self._fire(task)
@@ -833,11 +873,14 @@ def generate_tiled(
             if run.saw_worker_delta:
                 cache_delta = run.cache_delta
         elif backend == "serial":
-            for t in tiles:
-                heights, prov, dt = _traced_tile(generator, noise, t)
-                busy_s += dt
-                place(t, heights)
-                _merge_tile_provenance(agg, _slim_provenance(prov))
+            with _NoisePrefetch(generator, noise) as prefetch:
+                for i, t in enumerate(tiles):
+                    if i + 1 < len(tiles):
+                        prefetch.ahead(tiles[i + 1])
+                    heights, prov, dt = _traced_tile(generator, noise, t)
+                    busy_s += dt
+                    place(t, heights)
+                    _merge_tile_provenance(agg, _slim_provenance(prov))
         elif backend == "thread":
             with cf.ThreadPoolExecutor(max_workers=n) as pool:
                 tracing = obs.enabled()

@@ -8,6 +8,7 @@ broken gate cannot silently wave regressions through.
 import importlib.util
 import json
 import math
+import threading
 from pathlib import Path
 
 import pytest
@@ -146,9 +147,10 @@ class TestCheckInhomo:
 
 
 def _noise_row(blocks_drawn=576, verify_passed=True):
-    return {"traced_wall_s": 2.4, "rng_noise_s": 0.9,
+    return {"traced_wall_s": 1.8, "rng_noise_s": 0.2, "rng_prefetch_s": 1.0,
             "blocks_requested": 1024, "blocks_drawn": blocks_drawn,
-            "blocks_reused": 1024 - blocks_drawn,
+            "blocks_prefetched": blocks_drawn - 10,
+            "blocks_reused": 1024 - 10,
             "verify_passed": verify_passed}
 
 
@@ -174,6 +176,49 @@ class TestCheckNoiseReuse:
     def test_red_verify_fails(self):
         failures = gate.check_noise_reuse(_noise_row(verify_passed=False))
         assert len(failures) == 1 and "verification" in failures[0]
+
+    def test_helper_thread_draws_are_counted(self, monkeypatch):
+        """The row gates ``rng.blocks_drawn``; the serial loop's prefetch
+        helper draws most blocks, so its draws must land there too."""
+        from repro import obs
+        from repro.core.convolution import ConvolutionGenerator
+        from repro.core.grid import Grid2D
+        from repro.core.rng import BlockNoise
+        from repro.core.spectra import GaussianSpectrum
+        from repro.parallel import generate_tiled
+        from repro.parallel.tiles import TilePlan
+
+        draws = {"main": 0, "helper": 0}
+        helper_drew = threading.Event()
+        draw = BlockNoise._block_values
+
+        def counted(self, bx, by):
+            main = threading.current_thread() is threading.main_thread()
+            draws["main" if main else "helper"] += 1
+            if not main:
+                helper_drew.set()
+            return draw(self, bx, by)
+
+        monkeypatch.setattr(BlockNoise, "_block_values", counted)
+        grid = Grid2D(nx=64, ny=64, lx=64.0, ly=64.0)
+        gen = ConvolutionGenerator(GaussianSpectrum(h=1.0, clx=6.0, cly=6.0),
+                                   grid, truncation=(8, 8))
+        tile = gen.generate_window
+
+        def first_tile_waits_for_the_helper(noise, *window):
+            assert helper_drew.wait(timeout=60)
+            return tile(noise, *window)
+
+        monkeypatch.setattr(gen, "generate_window",
+                            first_tile_waits_for_the_helper)
+        with obs.recording() as rec:
+            generate_tiled(gen, BlockNoise(seed=1, block=16),
+                           TilePlan(total_nx=128, total_ny=128,
+                                    tile_nx=32, tile_ny=32))
+        counters = rec.metrics.counters("rng.")
+        assert draws["helper"] > 0
+        assert counters["rng.blocks_drawn"] == draws["main"] + draws["helper"]
+        assert counters["rng.blocks_prefetched"] == draws["helper"]
 
     @pytest.mark.parametrize("row, code", [(_noise_row(), 0),
                                            (_noise_row(1024), 1)])

@@ -1,8 +1,13 @@
 """Tests for tile plans, execution backends, and streaming strips."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.core.api import split_result
 from repro.core.convolution import ConvolutionGenerator
 from repro.core.grid import Grid2D
 from repro.core.inhomogeneous import InhomogeneousGenerator
@@ -266,3 +271,173 @@ class TestStreaming:
         )
         oneshot = inhom_gen.generate_window(bn, 0, 0, 64, 64)
         assert np.allclose(asm.heights, oneshot.heights, atol=1e-10)
+
+
+def _prefetch_threads():
+    return [t for t in threading.enumerate()
+            if t.name.startswith("repro-noise-prefetch")]
+
+
+def _tilewise_reference(generator, seed, block, plan):
+    """Every tile generated alone, by a fresh plane, one-shot."""
+    out = np.empty((plan.total_nx, plan.total_ny))
+    for t in plan:
+        noise = BlockNoise(seed=seed, block=block)
+        out[t.x0 - plan.origin_x : t.x1 - plan.origin_x,
+            t.y0 - plan.origin_y : t.y1 - plan.origin_y] = split_result(
+            generator.generate_window(noise, t.x0, t.y0, t.nx, t.ny))[0]
+    return out
+
+
+class _Paced:
+    """A generator that starts a tile only once ``ready(noise, tile_no)``
+    holds, so the prefetch helper's part of a run is deterministic."""
+
+    def __init__(self, inner, ready):
+        self.inner = inner
+        self.ready = ready
+        self.grid = inner.grid
+        self.tiles_started = 0
+
+    def noise_window(self, x0, y0, nx, ny):
+        return self.inner.noise_window(x0, y0, nx, ny)
+
+    def generate_window(self, noise, x0, y0, nx, ny):
+        deadline = time.monotonic() + 60
+        while not self.ready(noise, self.tiles_started):
+            assert time.monotonic() < deadline, "prefetch never ran"
+            time.sleep(0.001)
+        self.tiles_started += 1
+        return self.inner.generate_window(noise, x0, y0, nx, ny)
+
+
+def _blocks_of(b, window):
+    x0, y0, nx, ny = window
+    return {(bx, by) for bx in range(x0 // b, (x0 + nx - 1) // b + 1)
+            for by in range(y0 // b, (y0 + ny - 1) // b + 1)}
+
+
+class TestNoisePrefetch:
+    """The serial loop prefetches the next tile's noise blocks on a
+    helper thread; no byte may change, and no helper may outlive a run."""
+
+    # ragged: 100 = 2*40 + 20, 70 = 2*30 + 10
+    PLAN = TilePlan(total_nx=100, total_ny=70, tile_nx=40, tile_ny=30,
+                    origin_x=-13, origin_y=5)
+
+    @pytest.mark.parametrize("which", ["gen", "inhom_gen"])
+    def test_serial_matches_thread_and_one_shot_tiles(self, which, request):
+        generator = request.getfixturevalue(which)
+        serial = generate_tiled(generator, BlockNoise(seed=6, block=16),
+                                self.PLAN, backend="serial")
+        thread = generate_tiled(generator, BlockNoise(seed=6, block=16),
+                                self.PLAN, backend="thread", workers=2)
+        ref = _tilewise_reference(generator, 6, 16, self.PLAN)
+        assert serial.heights.tobytes() == thread.heights.tobytes()
+        assert serial.heights.tobytes() == ref.tobytes()
+        assert not _prefetch_threads()
+
+    @pytest.mark.parametrize("which", ["gen", "inhom_gen"])
+    def test_helper_draws_each_next_tile_ahead(self, which, request):
+        generator = request.getfixturevalue(which)
+        windows = [generator.noise_window(t.x0, t.y0, t.nx, t.ny)
+                   for t in self.PLAN]
+
+        def prefetched(noise, i):
+            with noise._lock:
+                return i == 0 or _blocks_of(16, windows[i]) <= set(
+                    noise._cache)
+
+        paced = _Paced(generator, prefetched)
+        with obs.recording() as rec:
+            got = generate_tiled(paced, BlockNoise(seed=6, block=16),
+                                 self.PLAN, backend="serial")
+        assert rec.span_stats()["rng.prefetch"]["count"] == len(self.PLAN) - 1
+        counters = rec.metrics.counters("rng.")
+        first = len(_blocks_of(16, windows[0]))
+        # the tiles themselves draw at most the first tile's blocks
+        assert (counters["rng.blocks_drawn"]
+                - counters["rng.blocks_prefetched"]) <= first
+        ref = _tilewise_reference(generator, 6, 16, self.PLAN)
+        assert got.heights.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("which", ["gen", "inhom_gen"])
+    def test_resumed_run_with_skip_matches(self, which, request):
+        generator = request.getfixturevalue(which)
+        full = generate_tiled(generator, BlockNoise(seed=8, block=16),
+                              self.PLAN, backend="thread", workers=2)
+        skip = [0, 3, 4]
+        out = np.full((self.PLAN.total_nx, self.PLAN.total_ny), np.nan)
+        for idx in skip:
+            t = self.PLAN.tiles()[idx]
+            ix, iy = t.x0 - self.PLAN.origin_x, t.y0 - self.PLAN.origin_y
+            out[ix : ix + t.nx, iy : iy + t.ny] = \
+                full.heights[ix : ix + t.nx, iy : iy + t.ny]
+        resumed = generate_tiled(generator, BlockNoise(seed=8, block=16),
+                                 self.PLAN, backend="serial", out=out,
+                                 skip=skip)
+        assert resumed.heights.tobytes() == full.heights.tobytes()
+        assert not _prefetch_threads()
+
+    def test_failed_prefetch_draw_changes_nothing(self, gen, monkeypatch):
+        failed = []
+        draw = BlockNoise._block_values
+
+        def flaky(self, bx, by):
+            if (threading.current_thread().name.startswith(
+                    "repro-noise-prefetch") and not failed):
+                failed.append((bx, by))
+                raise RuntimeError("injected prefetch failure")
+            return draw(self, bx, by)
+
+        monkeypatch.setattr(BlockNoise, "_block_values", flaky)
+        # the first tile waits for the helper's failed draw
+        paced = _Paced(gen, lambda noise, i: bool(failed))
+        got = generate_tiled(paced, BlockNoise(seed=4, block=16), self.PLAN,
+                             backend="serial")
+        monkeypatch.undo()
+        assert failed
+        ref = generate_tiled(gen, BlockNoise(seed=4, block=16), self.PLAN,
+                             backend="thread", workers=2)
+        assert got.heights.tobytes() == ref.heights.tobytes()
+        assert not _prefetch_threads()
+
+    def test_fault_plan_retry_is_byte_identical(self, gen):
+        from repro.jobs import FaultPlan, FaultSpec, RetryPolicy
+
+        ref = generate_tiled(gen, BlockNoise(seed=9, block=16), self.PLAN)
+        got = generate_tiled(
+            gen, BlockNoise(seed=9, block=16), self.PLAN, backend="serial",
+            retry=RetryPolicy(backoff_base=0.0),
+            fault_plan=FaultPlan.of(FaultSpec(tile=2), FaultSpec(tile=5)),
+        )
+        assert got.provenance["resilience"]["retries"] == 2
+        assert got.heights.tobytes() == ref.heights.tobytes()
+        assert not _prefetch_threads()
+
+    def test_no_helper_outlives_a_failed_run(self, gen):
+        from repro.jobs import FaultPlan, FaultSpec, RetryPolicy
+        from repro.parallel.executor import TileFailedError
+
+        with pytest.raises(TileFailedError):
+            generate_tiled(
+                gen, BlockNoise(seed=9, block=16), self.PLAN,
+                retry=RetryPolicy(max_attempts=1, backoff_base=0.0),
+                fault_plan=FaultPlan.of(FaultSpec(tile=3)),
+            )
+        assert not _prefetch_threads()
+
+    def test_generator_without_noise_window_gets_no_helper(self, gen):
+        class Opaque:
+            grid = gen.grid
+
+            def generate_window(self, noise, x0, y0, nx, ny):
+                assert not _prefetch_threads()
+                return gen.generate_window(noise, x0, y0, nx, ny)
+
+        with obs.recording() as rec:
+            got = generate_tiled(Opaque(), BlockNoise(seed=2, block=16),
+                                 self.PLAN)
+        assert "rng.prefetch" not in rec.span_stats()
+        ref = generate_tiled(gen, BlockNoise(seed=2, block=16), self.PLAN)
+        assert got.heights.tobytes() == ref.heights.tobytes()

@@ -316,3 +316,127 @@ class TestBlockCache:
         assert counters["rng.blocks_reused"] == requested - predicted
         assert predicted < requested
         assert rec.span_stats()["rng.noise"]["count"] == len(windows)
+
+
+class _GatedDraws:
+    """Wraps a plane's draws: counts them, and holds the first one until
+    :attr:`release` is set, so a second thread can miss the same block
+    while it is being drawn."""
+
+    def __init__(self, plane, fail_first=False):
+        self.calls = 0
+        self.started = threading.Event()
+        self.release = threading.Event()
+        self.fail_first = fail_first
+        self._draw = plane._block_values
+        plane._block_values = self
+
+    def __call__(self, bx, by):
+        self.calls += 1
+        if self.calls == 1:
+            self.started.set()
+            assert self.release.wait(timeout=60)
+            if self.fail_first:
+                raise RuntimeError("injected draw failure")
+        return self._draw(bx, by)
+
+
+def _run(target, *args):
+    errors = []
+
+    def body():
+        try:
+            target(*args)
+        except Exception as exc:  # the test inspects it
+            errors.append(exc)
+
+    t = threading.Thread(target=body)
+    t.start()
+    return t, errors
+
+
+class TestConcurrentMisses:
+    WINDOW = (0, 0, 16, 16)  # exactly block (0, 0)
+
+    def test_a_block_two_threads_miss_is_drawn_once(self):
+        plane = BlockNoise(seed=5, block=16)
+        gate = _GatedDraws(plane)
+        with obs.recording() as rec:
+            first, errors = _run(plane.window, *self.WINDOW)
+            assert gate.started.wait(timeout=60)
+            second, errors2 = _run(plane.prefetch, *self.WINDOW)
+            second.join(timeout=0.2)
+            assert second.is_alive()  # waiting for the first draw
+            gate.release.set()
+            for t in (first, second):
+                t.join(timeout=60)
+                assert not t.is_alive()
+        assert errors == errors2 == []
+        assert gate.calls == 1
+        counters = rec.metrics.counters("rng.")
+        assert counters["rng.blocks_drawn"] == 1
+        assert counters.get("rng.blocks_prefetched", 0) == 0
+        assert np.array_equal(plane.window(*self.WINDOW),
+                              _reference_window(5, 16, *self.WINDOW))
+
+    def test_a_waiter_draws_the_block_when_the_first_draw_fails(self):
+        plane = BlockNoise(seed=6, block=16)
+        gate = _GatedDraws(plane, fail_first=True)
+        first, errors = _run(plane.prefetch, *self.WINDOW)
+        assert gate.started.wait(timeout=60)
+        got = []
+        second, errors2 = _run(lambda: got.append(plane.window(*self.WINDOW)))
+        second.join(timeout=0.2)
+        gate.release.set()
+        for t in (first, second):
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert [str(e) for e in errors] == ["injected draw failure"]
+        assert errors2 == []
+        assert gate.calls == 2
+        assert np.array_equal(got[0], _reference_window(6, 16, *self.WINDOW))
+        assert not plane._drawing
+
+
+class TestPrefetch:
+    def test_prefetch_fills_the_cache_a_window_then_reads(self):
+        plane = BlockNoise(seed=7, block=8)
+        window = (-3, 5, 20, 12)
+        n_blocks = len(_window_blocks(8, *window))
+        with obs.recording() as rec:
+            assert plane.prefetch(*window) is None
+            plane.prefetch(*window)  # all cached: draws nothing
+            got = plane.window(*window)
+        assert rec.metrics.counters("rng.") == {
+            "rng.blocks_drawn": n_blocks,
+            "rng.blocks_prefetched": n_blocks,
+            "rng.blocks_reused": n_blocks,
+        }
+        spans = rec.span_stats()
+        assert spans["rng.prefetch"]["count"] == 2
+        assert spans["rng.noise"]["count"] == 1
+        assert np.array_equal(got, _reference_window(7, 8, *window))
+
+    def test_empty_and_negative_windows(self):
+        plane = BlockNoise(seed=1, block=8)
+        plane.prefetch(0, 0, 0, 5)
+        assert not plane._cache
+        with pytest.raises(ValueError):
+            plane.prefetch(0, 0, -1, 5)
+
+    def test_a_prefetching_threads_blocks_survive_the_readers_trim(self):
+        """A helper prefetches window 1 while the main thread reads
+        windows 0 and 2 (disjoint, each 2x2 blocks).  Trimming to the main
+        thread's latest window alone would evict window 1's blocks."""
+        block = 16
+        windows = [(0, y0, 32, 32) for y0 in (0, 64, 128)]
+        plane = BlockNoise(seed=11, block=block)
+        with obs.recording() as rec:
+            plane.window(*windows[0])
+            helper = threading.Thread(target=plane.prefetch, args=windows[1])
+            helper.start()
+            helper.join(timeout=60)
+            assert not helper.is_alive()
+            plane.window(*windows[2])
+            plane.window(*windows[1])
+        assert rec.metrics.counters("rng.")["rng.blocks_drawn"] == 12
