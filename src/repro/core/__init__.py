@@ -28,7 +28,6 @@ from .engine import (
     choose_block_shape,
     plan_cache,
 )
-from .ensemble import RunningFieldStats, ensemble_seeds, generate_ensemble
 from .direct_dft import (
     conjugate_mirror,
     direct_dft_surface,
@@ -137,8 +136,6 @@ __all__ = [
     "Spectrum1D", "Gaussian1D", "Exponential1D", "Matern1D",
     "TabulatedSpectrum1D", "marginal_of_2d", "weight_vector",
     "build_kernel_1d", "Kernel1D", "ProfileGenerator", "BlockNoise1D",
-    # ensembles
-    "ensemble_seeds", "generate_ensemble", "RunningFieldStats",
     # marginal transforms
     "gaussian_to_marginal", "lognormal_transform", "weibull_transform",
     "uniform_transform", "transform_surface", "correlation_distortion",

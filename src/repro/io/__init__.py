@@ -4,13 +4,7 @@ from .asciigrid import load_ascii_grid, save_ascii_grid
 from .atomic import atomic_write_bytes, atomic_write_json, atomic_write_npz
 from .npzio import load_surface, save_surface
 from .objmesh import save_obj
-from .store import (
-    StoreCorrupt,
-    StoreWriter,
-    SurfaceStore,
-    stream_to_store,
-)
-from .streamed import load_streamed_surface, stream_to_npy
+from .store import StoreCorrupt, StoreWriter, SurfaceStore
 from .pgm import (
     ascii_preview,
     render_gray,
@@ -24,8 +18,7 @@ __all__ = [
     "save_surface", "load_surface", "save_obj",
     "save_ascii_grid", "load_ascii_grid",
     "atomic_write_bytes", "atomic_write_json", "atomic_write_npz",
-    "SurfaceStore", "StoreWriter", "StoreCorrupt", "stream_to_store",
-    "stream_to_npy", "load_streamed_surface",
+    "SurfaceStore", "StoreWriter", "StoreCorrupt",
     "write_pgm", "write_ppm", "render_gray", "render_hillshade",
     "render_terrain", "ascii_preview",
 ]

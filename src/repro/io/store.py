@@ -57,7 +57,7 @@ import queue
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -69,8 +69,6 @@ __all__ = [
     "SurfaceStore",
     "StoreWriter",
     "StoreCorrupt",
-    "stream_to_store",
-    "iter_chunks",
     "FORMAT_VERSION",
 ]
 
@@ -734,44 +732,3 @@ class StoreWriter:
             except BaseException as exc:  # remembered, re-raised at close
                 self._error = exc
 
-
-def stream_to_store(
-    generator: Any,
-    noise: Any,
-    store: SurfaceStore,
-    *,
-    queue_depth: int = 2,
-) -> SurfaceStore:
-    """Generate every unfinished chunk of ``store`` straight to disk.
-
-    The streaming analogue of
-    :func:`repro.parallel.executor.generate_tiled` with ``out=store``:
-    chunks already marked done in the bitmap are skipped, so calling
-    this on a partially-written store *is* resume.  Compute and
-    writeback overlap through a :class:`StoreWriter`.  Memory use is
-    one chunk plus the writer queue, independent of the store size.
-    """
-    from ..core.api import split_result  # local: keep io import-light
-
-    ox, oy = store.origin
-    writer = store.writer(queue_depth=queue_depth)
-    try:
-        for index in range(store.chunks_total):
-            if store.done[index]:
-                continue
-            x0, y0, nx, ny = store.chunk_window(index)
-            out = generator.generate_window(noise, ox + x0, oy + y0, nx, ny)
-            heights, _prov = split_result(out)
-            writer.submit(index, x0, y0, heights)
-    except BaseException:
-        writer.close(raise_pending=False)
-        raise
-    writer.close()
-    return store
-
-
-def iter_chunks(store: SurfaceStore) -> Iterator[Tuple[int, int, int, int, int]]:
-    """Yield ``(index, x0, y0, nx, ny)`` over the store's chunk grid."""
-    for index in range(store.chunks_total):
-        x0, y0, nx, ny = store.chunk_window(index)
-        yield (index, x0, y0, nx, ny)

@@ -37,11 +37,11 @@ from ..parallel.executor import (
     PoolRespawnLimit,
     TileFailedError,
 )
+from ..parallel.tiles import strip_plan
 from .checkpoint import FORMAT_VERSION, JobCheckpoint, generator_fingerprint
 from .faults import FaultPlan, FaultSpec, InjectedFault
 from .retry import RetryPolicy
-from .runner import (resume, run_spec, run_strips, run_tiled, status,
-                     strip_plan)
+from .runner import resume, run_spec, run_strips, run_tiled, status
 
 __all__ = [
     "RetryPolicy",

@@ -17,12 +17,11 @@ state:
 * :func:`status` summarises a checkpoint without touching the noise
   plane.
 
-Strip jobs are scheduled as a degenerate tile plan (one tile per strip:
-``tile_nx = strip_nx``, ``tile_ny = width_ny``), whose row-major tile
-order equals the strip order of
-:func:`repro.parallel.streaming.stream_strips` — so strip jobs inherit
-every backend and the whole retry machinery, and their assembled output
-equals ``assemble_strips(stream_strips(...))`` bit-for-bit.
+Strip jobs run :func:`repro.parallel.tiles.strip_plan` (one tile per
+strip), the plan :func:`repro.parallel.streaming.stream_strips` walks
+too — so strip jobs inherit every backend and the whole retry
+machinery, and their assembled output equals
+``assemble_strips(stream_strips(...))`` bit-for-bit.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .. import obs
 from ..core.rng import BlockNoise
 from ..core.surface import Surface
 from ..parallel.executor import generate_tiled
-from ..parallel.tiles import TilePlan
+from ..parallel.tiles import TilePlan, strip_plan
 from .checkpoint import JobCheckpoint, generator_fingerprint
 from .faults import FaultPlan
 from .retry import RetryPolicy
@@ -179,17 +178,6 @@ def run_tiled(
     )
 
 
-def strip_plan(total_nx: int, width_ny: int, strip_nx: int,
-               x0: int = 0, y0: int = 0) -> TilePlan:
-    """The tile plan whose row-major tiles are exactly the strips of
-    ``stream_strips(generator, noise, total_nx, width_ny, strip_nx)``."""
-    return TilePlan(
-        total_nx=total_nx, total_ny=width_ny,
-        tile_nx=strip_nx, tile_ny=width_ny,
-        origin_x=x0, origin_y=y0,
-    )
-
-
 def run_strips(
     generator: Any,
     noise: BlockNoise,
@@ -297,10 +285,6 @@ def generator_from_rebuild(rebuild: Optional[dict]) -> Any:
             dtype=rebuild.get("dtype", "float64"),
         )
     raise ValueError(f"unknown rebuild kind {kind!r}")
-
-
-#: Backwards-compatible private alias (pre-dist name).
-_generator_from_rebuild = generator_from_rebuild
 
 
 def run_spec(
@@ -417,7 +401,7 @@ def resume(
         # never trust a manifest over the mask
         ckpt.manifest["status"] = "running"
     if generator is None:
-        generator = _generator_from_rebuild(ckpt.manifest.get("rebuild"))
+        generator = generator_from_rebuild(ckpt.manifest.get("rebuild"))
     elif check_generator:
         recorded = (ckpt.manifest.get("generator") or {}).get("fingerprint")
         actual = generator_fingerprint(generator)

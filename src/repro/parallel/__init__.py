@@ -10,11 +10,12 @@ from .executor import (
     generate_tiled,
 )
 from .streaming import StripStream, assemble_strips, stream_strips
-from .tiles import Tile, TilePlan
+from .tiles import Tile, TilePlan, strip_plan
 
 __all__ = [
     "Tile",
     "TilePlan",
+    "strip_plan",
     "generate_tiled",
     "default_workers",
     "WindowedGenerator",

@@ -9,7 +9,8 @@ and assembles the tiles into one height array.  Three backends:
     Plain loop; the reference.  One helper thread draws the next
     tile's noise blocks (:meth:`~repro.core.rng.BlockNoise.prefetch`)
     while the current tile convolves: numpy's Philox fill and
-    ``scipy.fft`` both release the GIL, so the two overlap.
+    ``scipy.fft`` both release the GIL, so the two overlap.  Strip
+    streams (:mod:`repro.parallel.streaming`) run through this loop too.
 ``thread``
     ``ThreadPoolExecutor``.  NumPy's FFT and BLAS release the GIL for
     large arrays, so threads give genuine speedups with zero pickling
@@ -65,6 +66,7 @@ from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     NamedTuple,
     Optional,
     Protocol,
@@ -153,12 +155,6 @@ def _tile_result(
     return split_result(out)
 
 
-def _tile_heights(generator: WindowedGenerator, noise: BlockNoise, tile: Tile
-                  ) -> np.ndarray:
-    out, _prov = _tile_result(generator, noise, tile)
-    return out
-
-
 def _traced_tile(
     generator: WindowedGenerator,
     noise: BlockNoise,
@@ -217,6 +213,27 @@ class _NoisePrefetch:
     def __exit__(self, *exc: Any) -> None:
         if self.pool is not None:
             self.pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _serial_tiles(
+    generator: WindowedGenerator, noise: BlockNoise, tiles: Iterable[Tile]
+) -> Iterator[Tuple[Tile, np.ndarray, Optional[dict], float]]:
+    """The serial tile loop: ``(tile, heights, provenance, seconds)`` per
+    tile of ``tiles``, in order, with the next tile's noise prefetched.
+
+    ``tiles`` may be endless.  The helper thread lives as long as the
+    loop: it is joined when the tiles run out, when a tile raises, and
+    when the caller closes or drops the iterator.
+    """
+    tiles = iter(tiles)
+    upcoming = next(tiles, None)
+    with _NoisePrefetch(generator, noise) as prefetch:
+        while upcoming is not None:
+            tile, upcoming = upcoming, next(tiles, None)
+            if upcoming is not None:
+                prefetch.ahead(upcoming)
+            heights, prov, dt = _traced_tile(generator, noise, tile)
+            yield tile, heights, prov, dt
 
 
 def _slim_provenance(prov: Optional[dict]) -> Optional[dict]:
@@ -873,14 +890,10 @@ def generate_tiled(
             if run.saw_worker_delta:
                 cache_delta = run.cache_delta
         elif backend == "serial":
-            with _NoisePrefetch(generator, noise) as prefetch:
-                for i, t in enumerate(tiles):
-                    if i + 1 < len(tiles):
-                        prefetch.ahead(tiles[i + 1])
-                    heights, prov, dt = _traced_tile(generator, noise, t)
-                    busy_s += dt
-                    place(t, heights)
-                    _merge_tile_provenance(agg, _slim_provenance(prov))
+            for t, heights, prov, dt in _serial_tiles(generator, noise, tiles):
+                busy_s += dt
+                place(t, heights)
+                _merge_tile_provenance(agg, _slim_provenance(prov))
         elif backend == "thread":
             with cf.ThreadPoolExecutor(max_workers=n) as pool:
                 tracing = obs.enabled()

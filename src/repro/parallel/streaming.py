@@ -8,7 +8,9 @@ of an unbounded surface.  Because each strip is a windowed convolution
 over the shared deterministic noise plane, consecutive strips join
 *seamlessly* — the assembled strips equal the one-shot windowed surface
 up to FFT rounding (~1e-15 relative; tested), and memory stays O(strip),
-independent of the total length.
+independent of the total length.  Strips run through the executor's
+serial tile loop, so each strip's noise is drawn ahead on its helper
+thread, exactly as for tiles.
 
 Typical uses: kilometre-scale propagation transects sampled at
 sub-metre resolution (the sensor-network scenario of the paper's
@@ -17,48 +19,58 @@ introduction), or out-of-core export of terrain too large for RAM.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+import itertools
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .. import obs
 from ..core.rng import BlockNoise
 from ..core.surface import Surface
-from .executor import WindowedGenerator, _slim_provenance, _tile_result
-from .tiles import Tile
+from .executor import WindowedGenerator, _serial_tiles, _slim_provenance
+from .tiles import Tile, strip_plan
 
 __all__ = ["StripStream", "stream_strips", "assemble_strips"]
 
 
-def _strip_provenance(generator: WindowedGenerator, noise: BlockNoise,
-                      tile: Tile, index: int,
-                      tile_prov: Optional[dict]) -> dict:
-    """One strip's full provenance record.
+def _strips(generator: WindowedGenerator, noise: BlockNoise,
+            tiles: Iterable[Tile], first_index: int) -> Iterator[Surface]:
+    """Run strip windows ``tiles`` through the executor's serial loop and
+    wrap each as a :class:`Surface` numbered from ``first_index``.
 
-    Carries everything the checkpoint layer needs to re-derive the
-    strip — its global index, exact window, and the noise plane's seed
-    *and* block size — so callers (and :mod:`repro.jobs`) no longer
-    recompute strip → window arithmetic themselves.
+    Each strip's provenance carries everything the checkpoint layer
+    needs to re-derive it — its global index, exact window, and the
+    noise plane's seed *and* block size.
     """
-    provenance = {
-        "method": "strip-stream",
-        "strip_index": index,
-        "window": [tile.x0, tile.y0, tile.nx, tile.ny],
-        "noise_seed": noise.seed,
-        "noise_block": getattr(noise, "block", None),
-    }
     engine = getattr(generator, "engine", None)
-    if engine is not None:
-        provenance["engine"] = engine
-    slim = _slim_provenance(tile_prov)
-    if slim:
+    results = _serial_tiles(generator, noise, tiles)
+    for index, (tile, heights, tile_prov, _dt) in enumerate(results,
+                                                            first_index):
+        provenance = {
+            "method": "strip-stream",
+            "strip_index": index,
+            "window": [tile.x0, tile.y0, tile.nx, tile.ny],
+            "noise_seed": noise.seed,
+            "noise_block": getattr(noise, "block", None),
+        }
+        if engine is not None:
+            provenance["engine"] = engine
         # active-set / batched-FFT record of this strip's window
-        provenance.update(slim)
-    return provenance
+        provenance.update(_slim_provenance(tile_prov) or {})
+        grid = generator.grid.with_shape(tile.nx, tile.ny)  # type: ignore[attr-defined]
+        yield Surface(
+            heights=heights,
+            grid=grid,
+            origin=(tile.x0 * grid.dx, tile.y0 * grid.dy),
+            provenance=provenance,
+        )
 
 
 class StripStream:
     """Iterator of consecutive surface strips along x.
+
+    Strips come from the executor's serial tile loop, so the next
+    strip's noise is drawn on a helper thread while the current one
+    convolves.  Dropping the stream stops the helper.
 
     Parameters
     ----------
@@ -115,16 +127,14 @@ class StripStream:
         self.n_strips = n_strips
         self.start_index = start_index
         self._emitted = 0
+        self._strips: Optional[Iterator[Surface]] = None
 
     @property
     def emitted(self) -> int:
         """Number of strips successfully produced so far.
 
-        Incremented only after a strip's :class:`Surface` has been
-        fully constructed, so a strip that raises mid-iteration is
-        re-attempted by the next ``next()`` call instead of being
-        silently skipped (the accounting previously bumped the counter
-        before validation could fail).
+        A strip that raises mid-iteration is not counted: the next
+        ``next()`` call re-attempts it instead of skipping it.
         """
         return self._emitted
 
@@ -133,36 +143,34 @@ class StripStream:
         """Global index of the strip the next ``next()`` will produce."""
         return self.start_index + self._emitted
 
+    def _open(self) -> Iterator[Surface]:
+        """A strip iterator starting at :attr:`next_index`.
+
+        Built from locals only, so the iterator (and its helper thread)
+        holds no reference back to the stream and dies with it.
+        """
+        first = self.next_index
+        if self.n_strips is None:
+            indices = itertools.count(first)
+        else:
+            indices = range(first, self.start_index + self.n_strips)
+        x0, y0, nx, ny = self.x0, self.y0, self.strip_nx, self.width_ny
+        tiles = (Tile(x0=x0 + i * nx, y0=y0, nx=nx, ny=ny) for i in indices)
+        return _strips(self.generator, self.noise, tiles, first)
+
     def __iter__(self) -> Iterator[Surface]:
         return self
 
     def __next__(self) -> Surface:
-        if self.n_strips is not None and self._emitted >= self.n_strips:
-            raise StopIteration
-        index = self.start_index + self._emitted
-        gx = self.x0 + index * self.strip_nx
-        tile = Tile(x0=gx, y0=self.y0, nx=self.strip_nx, ny=self.width_ny)
-        with obs.trace("stream.strip",
-                       {"index": index}
-                       if obs.enabled() else None) as span:
-            heights, tile_prov = _tile_result(self.generator, self.noise,
-                                              tile)
-        if obs.enabled():
-            obs.add("stream.strips")
-            obs.observe("stream.strip_seconds", span.duration_s)
-        grid = self.generator.grid.with_shape(tile.nx, tile.ny)  # type: ignore[attr-defined]
-        provenance = _strip_provenance(
-            self.generator, self.noise, tile, index, tile_prov
-        )
-        surface = Surface(
-            heights=heights,
-            grid=grid,
-            origin=(gx * grid.dx, self.y0 * grid.dy),
-            provenance=provenance,
-        )
-        # Count the emission only once the strip exists: if anything
-        # above raised, this strip has NOT been emitted and the stream
-        # retries the same index on the next call.
+        if self._strips is None:
+            self._strips = self._open()
+        try:
+            surface = next(self._strips)
+        except BaseException:
+            # The loop is finished, or died with this strip: drop it,
+            # and start a new one at next_index on the next call.
+            self._strips = None
+            raise
         self._emitted += 1
         return surface
 
@@ -176,34 +184,12 @@ def stream_strips(
     x0: int = 0,
     y0: int = 0,
 ) -> Iterator[Surface]:
-    """Finite strip stream covering ``total_nx`` samples along x.
-
-    The last strip is clipped so the strips exactly tile the requested
-    extent.
+    """Finite strip stream covering ``total_nx`` samples along x: the
+    tiles of :func:`~repro.parallel.tiles.strip_plan`, whose last strip
+    is clipped so the strips exactly tile the requested extent.
     """
-    if total_nx <= 0:
-        raise ValueError("total_nx must be positive")
-    emitted = 0
-    index = 0
-    while emitted < total_nx:
-        nx = min(strip_nx, total_nx - emitted)
-        tile = Tile(x0=x0 + emitted, y0=y0, nx=nx, ny=width_ny)
-        with obs.trace("stream.strip") as span:
-            heights, tile_prov = _tile_result(generator, noise, tile)
-        if obs.enabled():
-            obs.add("stream.strips")
-            obs.observe("stream.strip_seconds", span.duration_s)
-        grid = generator.grid.with_shape(tile.nx, tile.ny)  # type: ignore[attr-defined]
-        provenance = _strip_provenance(generator, noise, tile, index,
-                                       tile_prov)
-        yield Surface(
-            heights=heights,
-            grid=grid,
-            origin=(tile.x0 * grid.dx, y0 * grid.dy),
-            provenance=provenance,
-        )
-        emitted += nx
-        index += 1
+    plan = strip_plan(total_nx, width_ny, strip_nx, x0, y0)
+    yield from _strips(generator, noise, plan.tiles(), 0)
 
 
 def assemble_strips(strips: Iterator[Surface]) -> Surface:

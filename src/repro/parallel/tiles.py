@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
-__all__ = ["Tile", "TilePlan"]
+__all__ = ["Tile", "TilePlan", "strip_plan"]
 
 
 @dataclass(frozen=True)
@@ -159,3 +159,19 @@ class TilePlan:
         """
         read, output = self.halo_samples(kernel_shape)
         return read / output - 1.0
+
+
+def strip_plan(total_nx: int, width_ny: int, strip_nx: int,
+               x0: int = 0, y0: int = 0) -> TilePlan:
+    """The plan of full-width strips along x: ``strip_nx x width_ny``
+    tiles from ``(x0, y0)``, the last one clipped to ``total_nx``.
+
+    The one definition of the strip windows: both
+    :func:`repro.parallel.streaming.stream_strips` and
+    :func:`repro.jobs.run_strips` walk this plan's tiles.
+    """
+    return TilePlan(
+        total_nx=total_nx, total_ny=width_ny,
+        tile_nx=strip_nx, tile_ny=width_ny,
+        origin_x=x0, origin_y=y0,
+    )

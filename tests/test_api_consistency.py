@@ -23,7 +23,6 @@ MODULES = [
     "repro.core.convolution",
     "repro.core.inhomogeneous",
     "repro.core.oned",
-    "repro.core.ensemble",
     "repro.core.transform",
     "repro.core.surface",
     "repro.fields",
@@ -69,7 +68,6 @@ MODULES = [
     "repro.io.asciigrid",
     "repro.io.pgm",
     "repro.io.objmesh",
-    "repro.io.streamed",
     "repro.verify.closure",
     "repro.figures",
     "repro.cli",

@@ -1,14 +1,8 @@
-"""Tests for batch generation and extreme-value statistics."""
+"""Tests for extreme-value statistics."""
 
 import numpy as np
 import pytest
 
-from repro.core.convolution import ConvolutionGenerator
-from repro.core.ensemble import (
-    RunningFieldStats,
-    ensemble_seeds,
-    generate_ensemble,
-)
 from repro.core.grid import Grid2D
 from repro.core.spectra import GaussianSpectrum
 from repro.stats.extremes import (
@@ -17,88 +11,6 @@ from repro.stats.extremes import (
     expected_maximum_gaussian,
     peak_count,
 )
-
-
-class TestEnsembleSeeds:
-    def test_reproducible(self):
-        assert ensemble_seeds(42, 8) == ensemble_seeds(42, 8)
-
-    def test_distinct(self):
-        seeds = ensemble_seeds(1, 64)
-        assert len(set(seeds)) == 64
-
-    def test_root_sensitivity(self):
-        assert ensemble_seeds(1, 4) != ensemble_seeds(2, 4)
-
-    def test_prefix_stability(self):
-        # extending the ensemble keeps earlier seeds
-        assert ensemble_seeds(7, 4) == ensemble_seeds(7, 8)[:4]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ensemble_seeds(1, -1)
-
-
-class TestGenerateEnsemble:
-    @pytest.fixture
-    def gen(self):
-        grid = Grid2D(nx=32, ny=32, lx=128.0, ly=128.0)
-        return ConvolutionGenerator(
-            GaussianSpectrum(h=1.0, clx=10.0, cly=10.0), grid,
-            truncation=(6, 6),
-        )
-
-    def test_stack_shape(self, gen):
-        stack = generate_ensemble(lambda s: gen.generate(seed=s), 5,
-                                  root_seed=3)
-        assert stack.shape == (5, 32, 32)
-
-    def test_serial_thread_identical(self, gen):
-        f = lambda s: gen.generate(seed=s)  # noqa: E731
-        a = generate_ensemble(f, 6, root_seed=1, backend="serial")
-        b = generate_ensemble(f, 6, root_seed=1, backend="thread", workers=3)
-        assert np.array_equal(a, b)
-
-    def test_realisations_independent(self, gen):
-        stack = generate_ensemble(lambda s: gen.generate(seed=s), 3)
-        assert not np.array_equal(stack[0], stack[1])
-
-    def test_validation(self, gen):
-        with pytest.raises(ValueError):
-            generate_ensemble(lambda s: np.zeros(3), 0)
-        with pytest.raises(ValueError):
-            generate_ensemble(lambda s: np.zeros(3), 2, backend="mpi")
-
-    def test_shape_mismatch_detected(self):
-        shapes = iter([(3,), (4,)])
-
-        def bad(seed):
-            return np.zeros(next(shapes))
-
-        with pytest.raises(ValueError, match="shape"):
-            generate_ensemble(bad, 2)
-
-
-class TestRunningFieldStats:
-    def test_matches_batch_moments(self, rng):
-        stats = RunningFieldStats()
-        fields = [rng.standard_normal((8, 8)) for _ in range(20)]
-        for f in fields:
-            stats.update(f)
-        stack = np.stack(fields)
-        assert np.allclose(stats.mean(), stack.mean(axis=0))
-        assert np.allclose(stats.variance(), stack.var(axis=0))
-        assert np.allclose(stats.variance(ddof=1), stack.var(axis=0, ddof=1))
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            RunningFieldStats().mean()
-
-    def test_shape_mismatch(self, rng):
-        s = RunningFieldStats()
-        s.update(rng.standard_normal((4, 4)))
-        with pytest.raises(ValueError):
-            s.update(rng.standard_normal((5, 5)))
 
 
 class TestExceedance:

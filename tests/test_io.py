@@ -152,73 +152,72 @@ class TestRendering:
         assert img.max() < 1.0 and img.min() > 0.0
 
 
-class TestStreamedMetaAtomicity:
-    """Regression: the streamed sidecar must be written atomically.
-
-    ``stream_to_npy`` once wrote ``<path>.npy.meta.json`` with a plain
-    ``write_text`` — a crash mid-write could leave a truncated sidecar
-    next to a valid heights file, bricking ``load_streamed_surface``.
-    It now goes through :func:`repro.io.atomic.atomic_write_json`.
+class TestManifestAtomicity:
+    """Crash behaviour of :func:`repro.io.atomic.atomic_write_json`, on
+    the store manifest that :meth:`SurfaceStore.persist_progress`
+    rewrites: a crash mid-write must never leave a truncated manifest
+    next to a valid heights file and bitmap.
     """
 
     @staticmethod
-    def _gen(n=24):
-        from repro.core.convolution import ConvolutionGenerator
-        from repro.core.spectra import GaussianSpectrum
+    def _store(path):
+        from repro.io.store import SurfaceStore
 
-        return ConvolutionGenerator(
-            GaussianSpectrum(h=1.0, clx=4.0, cly=4.0),
-            Grid2D(nx=n, ny=n, lx=float(n), ly=float(n)),
-        )
+        return SurfaceStore.create(path, shape=(24, 24), chunk=(8, 24),
+                                   meta={"noise_seed": 3})
 
-    def test_interrupted_meta_write_preserves_old_sidecar(
+    def test_interrupted_manifest_write_preserves_old_manifest(
         self, tmp_path, monkeypatch
     ):
         import json
 
-        from repro.core.rng import BlockNoise
         from repro.io import atomic
-        from repro.io.streamed import load_streamed_surface, stream_to_npy
+        from repro.io.store import SurfaceStore
 
-        gen = self._gen()
-        p = stream_to_npy(tmp_path / "s", gen, BlockNoise(seed=3),
-                          total_nx=24, ny=24, strip_nx=8)
-        meta_path = tmp_path / "s.npy.meta.json"
-        before = meta_path.read_text()
+        store = self._store(tmp_path / "s")
+        store.write_chunk(0, np.ones((8, 24)))
+        store.persist_progress()
+        manifest_path = tmp_path / "s" / "manifest.json"
+        before = manifest_path.read_text()
+        store.write_chunk(1, np.ones((8, 24)))
 
         # crash exactly at the publish step: tmp written, rename fails
         real_replace = atomic.os.replace
 
         def exploding_replace(src, dst):
-            if str(dst).endswith(".meta.json"):
+            if str(dst).endswith("manifest.json"):
                 raise OSError("simulated crash during rename")
             return real_replace(src, dst)
 
         monkeypatch.setattr(atomic.os, "replace", exploding_replace)
         with pytest.raises(OSError, match="simulated crash"):
-            stream_to_npy(tmp_path / "s", gen, BlockNoise(seed=99),
-                          total_nx=24, ny=24, strip_nx=8)
+            store.persist_progress()
         monkeypatch.undo()
 
-        # the sidecar still holds the ORIGINAL, complete, parseable JSON
-        assert meta_path.read_text() == before
-        assert json.loads(before)["noise_seed"] == 3
-        s = load_streamed_surface(p)
-        assert s.provenance["noise_seed"] == 3
+        # the manifest still holds the ORIGINAL, complete, parseable JSON
+        assert manifest_path.read_text() == before
+        assert json.loads(before)["progress"]["chunks_done"] == 1
+        reopened = SurfaceStore.open(tmp_path / "s", mode="r")
+        assert reopened.manifest["meta"]["noise_seed"] == 3
+        # the bitmap went first, so the manifest undercounts, never over
+        assert reopened.done_indices() == [0, 1]
+        reopened.close()
+        store.close()
 
-    def test_meta_is_complete_json_with_newline(self, tmp_path):
-        from repro.core.rng import BlockNoise
-        from repro.io.streamed import stream_to_npy
+    def test_manifest_is_complete_json_with_newline(self, tmp_path):
         import json
 
-        stream_to_npy(tmp_path / "t", self._gen(), BlockNoise(seed=5),
-                      total_nx=24, ny=24, strip_nx=24)
-        text = (tmp_path / "t.npy.meta.json").read_text()
+        with self._store(tmp_path / "t") as store:
+            store.write_chunk(2, np.zeros((8, 24)))
+            store.persist_progress()
+        text = (tmp_path / "t" / "manifest.json").read_text()
         assert text.endswith("\n")  # atomic_write_json's canonical form
-        meta = json.loads(text)
-        assert meta["total_nx"] == 24 and meta["noise_seed"] == 5
+        manifest = json.loads(text)
+        assert manifest["shape"] == [24, 24]
+        assert manifest["progress"]["chunks_done"] == 1
+        assert manifest["meta"]["noise_seed"] == 3
         # no stray tmp siblings left behind
-        assert not list(tmp_path.glob("*.tmp"))
+        assert not list((tmp_path / "t").glob("*.tmp"))
 
 
 class TestDirectoryFsync:

@@ -8,6 +8,7 @@ execution backends.
 """
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -471,6 +472,9 @@ class TestStreamAccounting:
             self.engine = inner.engine
             self.remaining = fail
 
+        def noise_window(self, x0, y0, nx, ny):
+            return self.inner.noise_window(x0, y0, nx, ny)
+
         def generate_window(self, noise, x0, y0, nx, ny, **kwargs):
             if self.remaining > 0:
                 self.remaining -= 1
@@ -497,6 +501,9 @@ class TestStreamAccounting:
         for got, want in zip(strips, clean):
             assert np.array_equal(got.heights, want.heights)
             assert got.origin == want.origin
+        # the failed loop's prefetch helper and the retry's are both gone
+        assert not [t for t in threading.enumerate()
+                    if t.name.startswith("repro-noise-prefetch")]
 
     def test_start_index_resumes_mid_stream(self, gen, noise):
         from repro.parallel import StripStream

@@ -1,5 +1,6 @@
 """Tests for tile plans, execution backends, and streaming strips."""
 
+import gc
 import threading
 import time
 
@@ -16,7 +17,7 @@ from repro.core.spectra import ExponentialSpectrum, GaussianSpectrum
 from repro.fields.parameter_map import PlateLattice
 from repro.parallel.executor import default_workers, generate_tiled
 from repro.parallel.streaming import StripStream, assemble_strips, stream_strips
-from repro.parallel.tiles import Tile, TilePlan
+from repro.parallel.tiles import Tile, TilePlan, strip_plan
 
 
 @pytest.fixture
@@ -441,3 +442,61 @@ class TestNoisePrefetch:
         assert "rng.prefetch" not in rec.span_stats()
         ref = generate_tiled(gen, BlockNoise(seed=2, block=16), self.PLAN)
         assert got.heights.tobytes() == ref.heights.tobytes()
+
+
+class TestStripLoop:
+    """Strips run through the executor's serial tile loop: the same
+    spans and noise prefetch as tiles, and the same bytes as one-shot
+    windows."""
+
+    def test_traced_strips_record_tile_spans_and_prefetch(self, gen):
+        plan = strip_plan(4 * 24, 40, 24)
+        windows = [gen.noise_window(t.x0, t.y0, t.nx, t.ny) for t in plan]
+
+        def prefetched(noise, i):
+            if i == 0:
+                return True
+            assert _prefetch_threads(), "strips run without a helper"
+            with noise._lock:
+                return _blocks_of(16, windows[i]) <= set(noise._cache)
+
+        with obs.recording() as rec:
+            strips = list(stream_strips(_Paced(gen, prefetched),
+                                        BlockNoise(seed=6, block=16),
+                                        total_nx=4 * 24, width_ny=40,
+                                        strip_nx=24))
+        assert len(strips) == 4
+        spans = rec.span_stats()
+        assert spans["executor.tile"]["count"] == 4
+        assert spans["rng.prefetch"]["count"] == 3
+        assert not any(name.startswith("stream.") for name in spans)
+        assert rec.metrics.counters("executor.")["executor.tiles"] == 4
+        assert rec.metrics.counters("rng.")["rng.blocks_prefetched"] > 0
+        assert not _prefetch_threads()
+
+    @pytest.mark.parametrize("which", ["gen", "inhom_gen"])
+    def test_strips_match_one_shot_windows(self, which, request):
+        generator = request.getfixturevalue(which)
+        # ragged: 70 = 2*24 + 22; negative origin
+        plan = strip_plan(70, 40, 24, x0=-9, y0=3)
+        ref = _tilewise_reference(generator, 6, 16, plan)
+        finite = assemble_strips(stream_strips(
+            generator, BlockNoise(seed=6, block=16), 70, 40, 24, -9, 3))
+        assert finite.heights.tobytes() == ref.tobytes()
+        endless = StripStream(generator, BlockNoise(seed=6, block=16),
+                              width_ny=40, strip_nx=24, x0=-9, y0=3)
+        for strip in (next(endless), next(endless)):
+            x0, y0, nx, ny = strip.provenance["window"]
+            ix, iy = x0 - plan.origin_x, y0 - plan.origin_y
+            assert strip.heights.tobytes() == \
+                ref[ix : ix + nx, iy : iy + ny].tobytes()
+
+    def test_dropped_endless_stream_stops_its_helper(self, gen):
+        stream = StripStream(gen, BlockNoise(seed=3, block=16), width_ny=16,
+                             strip_nx=8)
+        strips = [next(stream) for _ in range(2)]
+        assert len(strips) == 2
+        assert _prefetch_threads()  # the helper lives while the stream does
+        del stream
+        gc.collect()
+        assert not _prefetch_threads()

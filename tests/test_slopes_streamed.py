@@ -1,4 +1,4 @@
-"""Tests for slope statistics and streamed export."""
+"""Tests for slope statistics and strips streamed to a store."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,8 @@ from repro.core.spectra import (
     GaussianSpectrum,
     PowerLawSpectrum,
 )
-from repro.io.streamed import load_streamed_surface, stream_to_npy
+from repro.io.store import SurfaceStore
+from repro.parallel import generate_tiled, strip_plan
 from repro.stats.slopes import (
     measured_forward_slope_variance,
     slope_variance_continuum,
@@ -87,6 +88,9 @@ class TestSlopeVariance:
 
 
 class TestStreamedExport:
+    """Strips streamed into a :class:`SurfaceStore`, the one out-of-core
+    format: the full array never exists in RAM."""
+
     @pytest.fixture
     def gen(self):
         grid = Grid2D(nx=64, ny=64, lx=256.0, ly=256.0)
@@ -95,50 +99,66 @@ class TestStreamedExport:
             truncation=(8, 8),
         )
 
+    @staticmethod
+    def _export(path, gen, bn, total_nx, ny, strip_nx=1024, x0=0, y0=0):
+        plan = strip_plan(total_nx, ny, strip_nx, x0, y0)
+        store = SurfaceStore.create(
+            path, shape=(total_nx, ny), chunk=(plan.tile_nx, plan.tile_ny),
+            dx=gen.grid.dx, dy=gen.grid.dy, origin=(x0, y0),
+            meta={"noise_seed": bn.seed, "noise_block": bn.block},
+        )
+        generate_tiled(gen, bn, plan, out=store)
+        return store
+
     def test_round_trip_matches_window(self, gen, tmp_path):
         bn = BlockNoise(seed=5)
-        p = stream_to_npy(tmp_path / "big", gen, bn, total_nx=200, ny=64,
-                          strip_nx=64)
-        assert p.suffix == ".npy"
-        s = load_streamed_surface(p, x_slice=slice(50, 120))
         ref = gen.generate_window(bn, 50, 0, 70, 64)
-        assert np.allclose(s.heights, ref, atol=1e-10)
+        with self._export(tmp_path / "big", gen, bn, total_nx=200, ny=64,
+                          strip_nx=64) as store:
+            window = store.read_window(50, 0, 70, 64)
+            s = store.surface().window(slice(50, 120), slice(None))
+        assert np.allclose(window, ref, atol=1e-10)
+        assert np.array_equal(s.heights, window)
         assert s.origin[0] == pytest.approx(50 * gen.grid.dx)
 
     def test_strip_width_invariance(self, gen, tmp_path):
         bn = BlockNoise(seed=6)
-        p1 = stream_to_npy(tmp_path / "a", gen, bn, total_nx=150, ny=32,
-                           strip_nx=150)
-        p2 = stream_to_npy(tmp_path / "b", gen, bn, total_nx=150, ny=32,
-                           strip_nx=37)
-        a = np.load(p1)
-        b = np.load(p2)
-        assert np.allclose(a, b, atol=1e-10)
+        with self._export(tmp_path / "a", gen, bn, total_nx=150, ny=32,
+                          strip_nx=150) as a, \
+             self._export(tmp_path / "b", gen, bn, total_nx=150, ny=32,
+                          strip_nx=37) as b:
+            assert np.allclose(a.heights(), b.heights(), atol=1e-10)
 
-    def test_metadata_sidecar(self, gen, tmp_path):
-        import json
-
+    def test_manifest_records_geometry(self, gen, tmp_path):
         bn = BlockNoise(seed=7, block=128)
-        p = stream_to_npy(tmp_path / "c", gen, bn, total_nx=64, ny=32,
-                          x0=10, y0=-5)
-        meta = json.loads((tmp_path / "c.npy.meta.json").read_text())
-        assert meta["noise_seed"] == 7
-        assert meta["x0"] == 10 and meta["y0"] == -5
+        self._export(tmp_path / "c", gen, bn, total_nx=64, ny=32,
+                     x0=10, y0=-5).close()
+        with SurfaceStore.open(tmp_path / "c", mode="r") as store:
+            assert store.manifest["meta"]["noise_seed"] == 7
+            assert store.origin == (10, -5)
+            assert store.surface().origin == pytest.approx(
+                (10 * gen.grid.dx, -5 * gen.grid.dy))
+            assert np.allclose(store.read_window(0, 0, 64, 32),
+                               gen.generate_window(bn, 10, -5, 64, 32),
+                               atol=1e-10)
 
     def test_readable_by_plain_numpy(self, gen, tmp_path):
         bn = BlockNoise(seed=8)
-        p = stream_to_npy(tmp_path / "d", gen, bn, total_nx=80, ny=16)
-        mm = np.load(p, mmap_mode="r")
+        with self._export(tmp_path / "d", gen, bn, total_nx=80,
+                          ny=16) as store:
+            mm = np.load(store.heights_path, mmap_mode="r")
         assert mm.shape == (80, 16)
         assert np.isfinite(mm[40, 8])
 
     def test_validation(self, gen, tmp_path):
         with pytest.raises(ValueError):
-            stream_to_npy(tmp_path / "x", gen, BlockNoise(seed=1),
-                          total_nx=0, ny=8)
+            strip_plan(0, 8, 1024)
         bn = BlockNoise(seed=1)
-        p = stream_to_npy(tmp_path / "y", gen, bn, total_nx=16, ny=8)
-        with pytest.raises(ValueError):
-            load_streamed_surface(p, x_slice=slice(4, 4))
-        with pytest.raises(ValueError):
-            load_streamed_surface(p, x_slice=slice(0, 8, 2))
+        with self._export(tmp_path / "y", gen, bn, total_nx=16,
+                          ny=8) as store:
+            with pytest.raises(ValueError):
+                store.read_window(12, 0, 8, 8)
+            with pytest.raises(ValueError):
+                store.surface().window(slice(4, 4), slice(None))
+            with pytest.raises(ValueError):
+                store.surface().window(slice(0, 8, 2), slice(None))

@@ -26,12 +26,7 @@ from repro.core.convolution import ConvolutionGenerator
 from repro.core.grid import Grid2D
 from repro.core.rng import BlockNoise
 from repro.core.spectra import GaussianSpectrum
-from repro.io.store import (
-    FORMAT_VERSION,
-    StoreCorrupt,
-    SurfaceStore,
-    stream_to_store,
-)
+from repro.io.store import FORMAT_VERSION, StoreCorrupt, SurfaceStore
 from repro.jobs import (
     FaultPlan,
     FaultSpec,
@@ -373,17 +368,12 @@ class TestDifferential:
         finally:
             shutil.rmtree(tmp)
 
-    def test_stream_to_store_resumes_from_bitmap(self, tmp_path, gen, noise,
-                                                 plan):
-        """stream_to_store skips chunks the bitmap already records."""
-        store = _make_store(tmp_path / "s", plan, chunk=(TILE, N))
-        # bit-identity holds per window *plan*: the reference must use
-        # the same full-width chunk grid the stream will compute
-        expected = generate_tiled(
-            gen, noise,
-            TilePlan(total_nx=N, total_ny=N, tile_nx=TILE, tile_ny=N),
-            backend="serial",
-        ).heights
+    def test_tiled_run_resumes_from_bitmap(self, tmp_path, gen, noise):
+        """generate_tiled(out=store, skip=store.done_indices()) never
+        recomputes a chunk the bitmap already records."""
+        plan = TilePlan(total_nx=N, total_ny=N, tile_nx=TILE, tile_ny=N)
+        store = _make_store(tmp_path / "s", plan)
+        expected = generate_tiled(gen, noise, plan, backend="serial").heights
         # pre-write the first full-width chunk by hand
         x0, y0, nx, ny = store.chunk_window(0)
         strip = generate_tiled(
@@ -402,12 +392,15 @@ class TestDifferential:
 
         type(gen).generate_window = spy
         try:
-            stream_to_store(gen, noise, store)
+            generate_tiled(gen, noise, plan, out=store,
+                           skip=store.done_indices())
         finally:
             type(gen).generate_window = orig
         assert (0, 0) not in calls  # chunk 0 was never recomputed
+        assert calls == [(TILE, 0)]  # chunk 1, once
         assert store.done.all()
         np.testing.assert_array_equal(np.asarray(store.heights()), expected)
+        store.close()
 
     def test_store_job_resume_mid_write(self, tmp_path, gen, noise, plan,
                                         reference):
