@@ -21,8 +21,9 @@ was re-granted — are accepted idempotently (tile values are pure
 functions of ``(generator recipe, seed, tile)``, so both writers wrote
 the same bytes) and counted, never double-marked.
 
-Failure semantics deliberately mirror the single-host resilient
-executor (:class:`repro.parallel.executor._ResilientRun`): *reported*
+Failure semantics deliberately mirror the single-host executor's
+retry policy (:func:`repro.parallel.executor.generate_tiled` with a
+``RetryPolicy``): *reported*
 tile failures count toward ``RetryPolicy.max_attempts`` and the
 run-wide ``failure_budget``; re-leases caused by a lost worker or an
 expired deadline bump the attempt number and back off via

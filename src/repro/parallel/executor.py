@@ -34,20 +34,23 @@ do for GPU/MPI stochastic codes.  *Different* tile plans agree to
 floating-point rounding (~1e-15 relative): the FFT used inside the
 windowed convolution rounds differently for different window shapes.
 
-Fault tolerance (the substrate of :mod:`repro.jobs`): passing any of the
-``retry`` / ``fault_plan`` / ``out`` / ``skip`` / ``on_tile`` keywords
-switches :func:`generate_tiled` to a resilient scheduler that retries
-failed tiles with deterministic exponential backoff, enforces a run-wide
-failure budget, survives crashed process-pool workers
-(``BrokenProcessPool`` → respawn the pool and requeue the in-flight
-tiles), and degrades process → thread → serial when respawning keeps
-failing.  Because tile values are backend-independent, retries and
-degradation never change the output — only when it is computed.
+All three backends run through one scheduler (``_ResilientRun``).  A
+:class:`repro.jobs.RetryPolicy` — the ``retry`` keyword, or the default
+policy whenever ``fault_plan`` / ``skip`` / ``on_tile`` / a store ``out``
+is given (the substrate of :mod:`repro.jobs`) — makes it retry failed
+tiles with deterministic exponential backoff, enforce a run-wide failure
+budget, survive crashed process-pool workers (``BrokenProcessPool`` →
+respawn the pool and requeue the in-flight tiles), and degrade process →
+thread → serial when respawning keeps failing.  Without a policy a
+failing tile's own exception propagates unwrapped, and a dead worker's
+``BrokenProcessPool`` too.  Because tile values are backend-independent,
+retries and degradation never change the output — only when it is
+computed.
 
 Run-level provenance aggregates what the windowed generators report per
-tile: plan-cache hit/miss deltas (summed across process workers' own
-caches), region/level active-set totals, batched-FFT counters, and — for
-resilient runs — retry/respawn/degradation counts.
+tile: plan-cache hit/miss deltas (the parent's plus the process
+workers' own caches), region/level active-set totals, batched-FFT
+counters, and the run's retry/respawn/degradation counts.
 
 This module is the library's MPI substitute (DESIGN.md S10): the tile
 decomposition, halo arithmetic, and determinism contract are exactly
@@ -57,6 +60,7 @@ what an mpi4py backend would need; only the transport differs.
 from __future__ import annotations
 
 import concurrent.futures as cf
+import contextlib
 import os
 import time
 from collections import deque
@@ -324,7 +328,7 @@ def _pool_init(
     Everything tile-independent — the generator (with its kernels), the
     noise spec, the mapped output buffer, and any fault-injection plan —
     lives in module state for the worker's lifetime, so per-tile tasks
-    carry only a ``Tile`` (plus index/attempt in resilient mode).
+    carry only a tile task (index, tile, attempt).
     When the parent is recording, each worker installs its own
     :class:`repro.obs.Recorder`; per-tile drains ride the result pipe
     next to the plan-cache deltas.
@@ -344,9 +348,10 @@ def _pool_init(
 
 
 def _pool_tile(
-    tile: Tile,
+    task: "_Task",
 ) -> Tuple[Optional[dict], Dict[str, int], Optional[Dict[str, Any]]]:
-    """Worker task: write one tile straight into the shared output.
+    """Worker task: fire any scheduled fault, then write one tile
+    straight into the shared output.
 
     Returns the tile's slim provenance, this tile's plan-cache delta
     (each worker process holds its own cache), and — when the run is
@@ -354,6 +359,9 @@ def _pool_tile(
     No height data crosses the result pipe.
     """
     state = _POOL_STATE
+    if state["fault_plan"] is not None:
+        state["fault_plan"].fire(task.idx, task.attempt)
+    tile = task.tile
     before = plan_cache.stats()
     heights, prov, _dt = _traced_tile(state["generator"], state["noise"], tile)
     after = plan_cache.stats()
@@ -371,22 +379,8 @@ def _pool_tile(
     return _slim_provenance(prov), delta, payload
 
 
-def _pool_resilient_tile(
-    task: Tuple[int, Tile, int],
-) -> Tuple[int, Optional[dict], Dict[str, int], Optional[Dict[str, Any]]]:
-    """Worker task for resilient runs: fire any scheduled fault, then
-    compute the tile.  Echoes the tile index so the parent can match
-    out-of-order completions."""
-    idx, tile, attempt = task
-    fault_plan = _POOL_STATE.get("fault_plan")
-    if fault_plan is not None:
-        fault_plan.fire(idx, attempt)
-    slim, delta, payload = _pool_tile(tile)
-    return idx, slim, delta, payload
-
-
 # ---------------------------------------------------------------------------
-# Resilient scheduler
+# Tile scheduler
 # ---------------------------------------------------------------------------
 class _Task(NamedTuple):
     idx: int
@@ -401,17 +395,19 @@ def _default_retry_policy():
 
 
 class _ResilientRun:
-    """State machine for the fault-tolerant execution of one tile plan.
+    """The single-host scheduler: runs one tile plan on a backend.
 
     Owns the pending queue, per-tile failure counts, the failure
     budget, process-pool respawn accounting and backend degradation.
-    Tiles land in ``self.out`` (caller-provided or freshly allocated),
-    and ``on_tile(idx, tile)`` fires in the parent after each tile's
-    data is in ``self.out`` — the checkpoint hook of :mod:`repro.jobs`.
+    Tiles land in ``self.out`` (or go to ``self.writer``, the async
+    store writeback), ``self.agg`` sums their provenance, and
+    ``on_tile(idx, tile)`` fires in the parent after each tile's data
+    is placed — the checkpoint hook of :mod:`repro.jobs`.  With
+    ``policy`` ``None`` nothing is retried: the first failure raises.
     """
 
     def __init__(self, generator, noise, plan, backend, workers, policy,
-                 fault_plan, out, skip, on_tile, agg, writer=None):
+                 fault_plan, out, skip, on_tile):
         self.generator = generator
         self.noise = noise
         self.plan = plan
@@ -419,10 +415,10 @@ class _ResilientRun:
         self.policy = policy
         self.fault_plan = fault_plan
         self.out = out
-        self.writer = writer  # async store writeback (out is None then)
+        self.writer = None  # async store writeback (out is None then)
         self.shape = (plan.total_nx, plan.total_ny)
         self.on_tile = on_tile
-        self.agg = agg
+        self.agg: dict = {}
         tiles = plan.tiles()
         self.skipped = frozenset(int(i) for i in (skip or ()))
         unknown = [i for i in self.skipped if not 0 <= i < len(tiles)]
@@ -441,8 +437,7 @@ class _ResilientRun:
         self.respawns = 0
         self.degraded_to: Optional[str] = None
         self.busy_s = 0.0
-        self.cache_delta = {"hits": 0, "misses": 0}
-        self.saw_worker_delta = False
+        self.cache_delta = {"hits": 0, "misses": 0}  # process workers'
         self.backend_chain = {
             "process": ["process", "thread", "serial"],
             "thread": ["thread", "serial"],
@@ -454,25 +449,36 @@ class _ResilientRun:
         if self.fault_plan is not None:
             self.fault_plan.fire(task.idx, task.attempt)
 
-    def _place(self, idx: int, tile: Tile, values: np.ndarray) -> None:
+    def _window(self, tile: Tile) -> Tuple[slice, slice]:
+        """``tile``'s rows and columns of the run's output."""
         ix = tile.x0 - self.plan.origin_x
         iy = tile.y0 - self.plan.origin_y
+        return slice(ix, ix + tile.nx), slice(iy, iy + tile.ny)
+
+    def _place(self, idx: int, tile: Tile, values: np.ndarray) -> None:
+        rows, cols = self._window(tile)
         if self.writer is not None:
             # Hand the tile to the async writeback path; the writer
             # marks the store's chunk bitmap only after the durable
             # write, so crash-resume never trusts unwritten data.
-            self.writer.submit(idx, ix, iy, values)
+            self.writer.submit(idx, rows.start, cols.start, values)
         else:
-            self.out[ix : ix + tile.nx, iy : iy + tile.ny] = values
+            self.out[rows, cols] = values
 
-    def _complete(self, task: _Task, prov: Optional[dict]) -> None:
+    def _complete(self, task: _Task, values: np.ndarray,
+                  prov: Optional[dict], busy_s: float) -> None:
+        self.busy_s += busy_s
+        self._place(task.idx, task.tile, values)
         _merge_tile_provenance(self.agg, _slim_provenance(prov))
         if self.on_tile is not None:
             self.on_tile(task.idx, task.tile)
 
     def _record_failure(self, task: _Task, exc: BaseException) -> None:
-        """Account one genuine tile failure; raise when budgets run out,
-        otherwise sleep the deterministic backoff before the retry."""
+        """Account one genuine tile failure; raise when there is no
+        policy or its budgets run out, otherwise sleep the deterministic
+        backoff before the retry."""
+        if self.policy is None:
+            raise exc
         count = self.failures.get(task.idx, 0) + 1
         self.failures[task.idx] = count
         self.retries += 1
@@ -505,6 +511,8 @@ class _ResilientRun:
             except cf.BrokenExecutor as exc:
                 # A broken pool that may not be respawned: degrade (the
                 # values are backend-independent) or give up.
+                if self.policy is None:
+                    raise
                 if not self.policy.degrade:
                     raise PoolRespawnLimit(
                         f"{current} pool kept breaking after "
@@ -517,24 +525,28 @@ class _ResilientRun:
                     obs.add("executor.degradations")
 
     def _run_serial(self) -> None:
-        with _NoisePrefetch(self.generator, self.noise) as prefetch:
-            while self.pending:
-                task = self.pending.popleft()
-                if self.pending:
-                    prefetch.ahead(self.pending[0].tile)
-                try:
-                    self._fire(task)
-                    heights, prov, dt = _traced_tile(
-                        self.generator, self.noise, task.tile
-                    )
-                except Exception as exc:
-                    self._record_failure(task, exc)
-                    self.pending.appendleft(
-                        task._replace(attempt=task.attempt + 1))
-                    continue
-                self.busy_s += dt
-                self._place(task.idx, task.tile, heights)
-                self._complete(task, prov)
+        """:func:`_serial_tiles` over ``pending``.  A failed tile ends
+        that loop and its prefetch helper; the retry heads ``pending``
+        and a fresh loop opens over what is left."""
+        while self.pending:
+            tiles = [task.tile for task in self.pending]
+            with contextlib.closing(
+                _serial_tiles(self.generator, self.noise, tiles)
+            ) as results:
+                while self.pending:
+                    task = self.pending[0]
+                    try:
+                        # the loop is lazy: firing before the pull fires
+                        # before the attempt
+                        self._fire(task)
+                        _tile, heights, prov, dt = next(results)
+                    except Exception as exc:
+                        self._record_failure(task, exc)
+                        self.pending[0] = task._replace(
+                            attempt=task.attempt + 1)
+                        break
+                    self.pending.popleft()
+                    self._complete(task, heights, prov, dt)
 
     def _thread_tile(self, task: _Task, submit_ns: Optional[int]):
         self._fire(task)
@@ -565,9 +577,7 @@ class _ResilientRun:
                         retry = task._replace(attempt=task.attempt + 1)
                         inflight[submit(retry)] = retry
                         continue
-                    self.busy_s += dt
-                    self._place(task.idx, task.tile, heights)
-                    self._complete(task, prov)
+                    self._complete(task, heights, prov, dt)
 
     def _run_process(self) -> None:
         """Process backend with pool respawn and in-flight requeue.
@@ -605,11 +615,10 @@ class _ResilientRun:
 
                     def submit(task: _Task) -> bool:
                         try:
-                            fut = pool.submit(
-                                _pool_resilient_tile,
-                                (task.idx, task.tile, task.attempt),
-                            )
+                            fut = pool.submit(_pool_tile, task)
                         except cf.BrokenExecutor:
+                            if self.policy is None:
+                                raise
                             self.pending.append(task)
                             return False
                         inflight[fut] = task
@@ -626,8 +635,10 @@ class _ResilientRun:
                         for fut in done:
                             task = inflight.pop(fut)
                             try:
-                                _idx, slim, delta, payload = fut.result()
+                                slim, delta, payload = fut.result()
                             except cf.BrokenExecutor:
+                                if self.policy is None:
+                                    raise
                                 broken = True
                                 self.pending.append(
                                     task._replace(attempt=task.attempt + 1)
@@ -641,33 +652,21 @@ class _ResilientRun:
                                 if not submit(retry):
                                     broken = True
                                 continue
-                            tile = task.tile
-                            ix = tile.x0 - self.plan.origin_x
-                            iy = tile.y0 - self.plan.origin_y
-                            if self.writer is not None:
-                                # copy out of the shared buffer before
-                                # handing over: the segment outlives no
-                                # respawn and workers may rewrite it
-                                self.writer.submit(
-                                    task.idx, ix, iy,
-                                    np.array(view[ix:ix + tile.nx,
-                                                  iy:iy + tile.ny]),
-                                )
-                            else:
-                                self.out[ix:ix + tile.nx,
-                                         iy:iy + tile.ny] = (
-                                    view[ix:ix + tile.nx, iy:iy + tile.ny]
-                                )
-                            self.saw_worker_delta = True
                             self.cache_delta["hits"] += delta["hits"]
                             self.cache_delta["misses"] += delta["misses"]
+                            busy_s = 0.0
                             if payload is not None and recorder.enabled:
                                 stats = payload.get("span_stats", {})
                                 tile_row = stats.get("executor.tile")
                                 if tile_row:
-                                    self.busy_s += tile_row[1] / 1e9
+                                    busy_s = tile_row[1] / 1e9
                                 recorder.merge(payload)
-                            self._complete(task, slim)
+                            values = view[self._window(task.tile)]
+                            if self.writer is not None:
+                                # the writer drains after the shared
+                                # segment is gone: hand it a copy
+                                values = values.copy()
+                            self._complete(task, values, slim, busy_s)
                         if broken:
                             # every remaining in-flight future is doomed
                             # on the same broken pool: requeue them all
@@ -730,16 +729,18 @@ def generate_tiled(
         Pool size for the parallel backends (default
         :func:`default_workers`).
     retry:
-        A :class:`repro.jobs.RetryPolicy` enabling the resilient
-        scheduler: per-tile retries with deterministic backoff, a
-        run-wide failure budget, process-pool respawn on worker death,
-        and process → thread → serial degradation.  ``None`` (with all
-        the keywords below unset) keeps the zero-overhead plain paths.
+        A :class:`repro.jobs.RetryPolicy` for the scheduler: per-tile
+        retries with deterministic backoff, a run-wide failure budget,
+        process-pool respawn on worker death, and process → thread →
+        serial degradation.  ``None`` without ``fault_plan``, ``skip``,
+        ``on_tile`` or a store ``out`` means no policy: a failing tile's
+        own exception propagates, with no retry, and a dead process
+        worker raises ``BrokenProcessPool``.
     fault_plan:
         A :class:`repro.jobs.FaultPlan` fired before each tile attempt
-        (testing/debugging aid; implies the resilient scheduler with
-        default :class:`~repro.jobs.retry.RetryPolicy` when ``retry``
-        is not given — as do ``out``, ``skip`` and ``on_tile``).
+        (testing/debugging aid; implies the default
+        :class:`~repro.jobs.retry.RetryPolicy` when ``retry`` is not
+        given — as do a store ``out``, ``skip`` and ``on_tile``).
     out:
         Preallocated output of shape ``(plan.total_nx, plan.total_ny)``
         and the generator's dtype (float64 unless the generator opts
@@ -785,7 +786,8 @@ def generate_tiled(
     Raises
     ------
     TileFailedError, FailureBudgetExceeded, PoolRespawnLimit
-        Resilient runs only, when the retry policy's budgets are spent.
+        When the retry policy's budgets are spent.  Without a policy,
+        the failing tile's own exception or ``BrokenProcessPool``.
     """
     if backend not in ("serial", "thread", "process", "dist"):
         raise ValueError(
@@ -827,7 +829,6 @@ def generate_tiled(
     # a store is recognised by its write/chunk protocol instead.
     store = out if (out is not None and hasattr(out, "write_window")
                     and hasattr(out, "chunk_shape")) else None
-    writer = None
     gen_dtype = _generator_dtype(generator)
     if store is not None:
         store.validate_plan(plan)
@@ -845,105 +846,37 @@ def generate_tiled(
             )
     else:
         out = np.empty((plan.total_nx, plan.total_ny), dtype=gen_dtype)
-    tiles = plan.tiles()
-    stats_before = plan_cache.stats()
-    agg: dict = {}
-    cache_delta: Optional[Dict[str, int]] = None
+    if retry is None and (fault_plan is not None or skip is not None
+                          or on_tile is not None or store is not None):
+        retry = _default_retry_policy()
     n = workers or default_workers()
     pool_size = 1 if backend == "serial" else n
-    busy_s = 0.0  # summed per-tile wall time (worker-utilization input)
-    resilient = (
-        retry is not None or fault_plan is not None
-        or skip is not None or on_tile is not None
-        or store is not None
-    )
-    run: Optional[_ResilientRun] = None
-
-    def place(tile: Tile, values: np.ndarray) -> None:
-        ix = tile.x0 - plan.origin_x
-        iy = tile.y0 - plan.origin_y
-        out[ix : ix + tile.nx, iy : iy + tile.ny] = values
-
+    run = _ResilientRun(generator, noise, plan, backend, n, retry,
+                        fault_plan, out, skip, on_tile)
+    n_tiles = len(plan.tiles())
+    stats_before = plan_cache.stats()
     run_span = obs.trace("executor.run", {
-        "backend": backend, "tiles": len(tiles), "workers": pool_size,
+        "backend": backend, "tiles": n_tiles, "workers": pool_size,
     } if obs.enabled() else None)
     with run_span:
-        if resilient:
-            if store is not None:
-                writer = store.writer()
-            run = _ResilientRun(
-                generator, noise, plan, backend, n,
-                retry if retry is not None else _default_retry_policy(),
-                fault_plan, out, skip, on_tile, agg, writer=writer,
-            )
-            try:
-                run.run()
-            except BaseException:
-                if writer is not None:
-                    # drain what's queued but don't mask the original
-                    # error with a secondary write failure
-                    writer.close(raise_pending=False)
-                raise
+        writer = run.writer = store.writer() if store is not None else None
+        try:
+            run.run()
+        except BaseException:
             if writer is not None:
-                writer.close()  # re-raises a deferred write error
-            busy_s = run.busy_s
-            if run.saw_worker_delta:
-                cache_delta = run.cache_delta
-        elif backend == "serial":
-            for t, heights, prov, dt in _serial_tiles(generator, noise, tiles):
-                busy_s += dt
-                place(t, heights)
-                _merge_tile_provenance(agg, _slim_provenance(prov))
-        elif backend == "thread":
-            with cf.ThreadPoolExecutor(max_workers=n) as pool:
-                tracing = obs.enabled()
-                futures = [
-                    pool.submit(_traced_tile, generator, noise, t,
-                                time.perf_counter_ns() if tracing else None)
-                    for t in tiles
-                ]
-                for t, fut in zip(tiles, futures):
-                    heights, prov, dt = fut.result()
-                    busy_s += dt
-                    place(t, heights)
-                    _merge_tile_provenance(agg, _slim_provenance(prov))
-        else:  # process
-            shm = shared_memory.SharedMemory(create=True, size=out.nbytes)
-            try:
-                view = np.ndarray(out.shape, dtype=out.dtype, buffer=shm.buf)
-                with cf.ProcessPoolExecutor(
-                    max_workers=n,
-                    initializer=_pool_init,
-                    initargs=(generator, noise, shm.name, out.shape,
-                              (plan.origin_x, plan.origin_y),
-                              obs.enabled()),
-                ) as pool:
-                    cache_delta = {"hits": 0, "misses": 0}
-                    recorder = obs.get_recorder()
-                    for slim, delta, payload in pool.map(_pool_tile, tiles):
-                        _merge_tile_provenance(agg, slim)
-                        cache_delta["hits"] += delta["hits"]
-                        cache_delta["misses"] += delta["misses"]
-                        if payload is not None and recorder.enabled:
-                            # tile order is fixed by the plan, so the
-                            # merged totals are deterministic
-                            stats = payload.get("span_stats", {})
-                            tile_row = stats.get("executor.tile")
-                            if tile_row:
-                                busy_s += tile_row[1] / 1e9
-                            recorder.merge(payload)
-                out[:] = view
-                del view  # release the buffer before closing the mapping
-            finally:
-                shm.close()
-                shm.unlink()
+                # drain what's queued but don't mask the original
+                # error with a secondary write failure
+                writer.close(raise_pending=False)
+            raise
+        if writer is not None:
+            writer.close()  # re-raises a deferred write error
 
     big_grid = grid.with_shape(plan.total_nx, plan.total_ny)
     origin = (plan.origin_x * grid.dx, plan.origin_y * grid.dy)
     provenance = {
         "method": "tiled",
         "backend": backend,
-        "tiles": len(tiles),
+        "tiles": n_tiles,
         "noise_seed": noise.seed,
     }
     engine = getattr(generator, "engine", None)
@@ -963,37 +896,25 @@ def generate_tiled(
             obs.set_gauge("executor.halo_overhead",
                           provenance["halo_overhead"])
     stats_after = plan_cache.stats()
-    local_delta = {
-        "hits": stats_after.hits - stats_before.hits,
-        "misses": stats_after.misses - stats_before.misses,
+    # The parent's cache delta covers the serial/thread tiles, the summed
+    # worker deltas the process ones (degradation can mix them): misses
+    # count each worker's warmup, hits the cross-tile reuse inside it.
+    provenance["plan_cache"] = {
+        "hits": stats_after.hits - stats_before.hits + run.cache_delta["hits"],
+        "misses": (stats_after.misses - stats_before.misses
+                   + run.cache_delta["misses"]),
     }
-    if resilient:
-        # Degradation can mix backends in one run: the global cache
-        # delta covers the serial/thread portion, the summed worker
-        # deltas the process portion.
-        provenance["plan_cache"] = {
-            "hits": local_delta["hits"] + (cache_delta or {}).get("hits", 0),
-            "misses": (local_delta["misses"]
-                       + (cache_delta or {}).get("misses", 0)),
-        }
-        assert run is not None
-        provenance["resilience"] = {
-            "retries": run.retries,
-            "respawns": run.respawns,
-            "degraded_to": run.degraded_to,
-            "tiles_skipped": len(run.skipped),
-        }
-    elif backend in ("serial", "thread"):
-        provenance["plan_cache"] = local_delta
-    elif cache_delta is not None:
-        # Sum of the workers' own cache deltas: misses count each
-        # worker's warmup, hits the cross-tile reuse inside workers.
-        provenance["plan_cache"] = cache_delta
-    provenance.update(agg)
+    provenance["resilience"] = {
+        "retries": run.retries,
+        "respawns": run.respawns,
+        "degraded_to": run.degraded_to,
+        "tiles_skipped": len(run.skipped),
+    }
+    provenance.update(run.agg)
     if obs.enabled() and run_span.duration_s > 0.0:
         obs.set_gauge(
             "executor.worker_utilization",
-            busy_s / (pool_size * run_span.duration_s),
+            run.busy_s / (pool_size * run_span.duration_s),
         )
     if store is not None:
         provenance["store"] = store.progress_summary()

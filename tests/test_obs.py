@@ -367,6 +367,33 @@ class TestDeterminism:
         pids = {s[3] for s in rec.spans() if s[0] == "executor.tile"}
         assert pids and all(pid != os.getpid() for pid in pids)
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_pooled_runs_record_run_tile_and_utilization(
+            self, inhomo_gen, backend):
+        """Process payloads merge in completion order; the merged
+        counts must not depend on that order."""
+        with obs.recording() as rec:
+            generate_tiled(inhomo_gen, BlockNoise(seed=11), PLAN,
+                           backend=backend, workers=2)
+        spans = {name: row["count"]
+                 for name, row in rec.span_stats().items()
+                 if not name.startswith("engine.plan.")}
+        n = len(PLAN)
+        assert spans == {
+            "executor.run": 1, "executor.tile": n, "rng.noise": n,
+            "fields.weight_map": n, "engine.fft.forward": n,
+            "engine.fft.inverse": n,
+        }
+        assert rec.metrics.counter("executor.tiles") == n
+        assert rec.metrics.histogram("executor.tile_seconds").count == n
+        waits = rec.metrics.histogram("executor.queue_wait_seconds")
+        if backend == "thread":
+            assert waits.count == n
+        else:
+            assert waits is None
+        util = rec.metrics.gauge("executor.worker_utilization")
+        assert 0.0 < util <= 1.0
+
     def test_worker_utilization_gauge(self, inhomo_gen):
         noise = BlockNoise(seed=11)
         with obs.recording() as rec:

@@ -1,6 +1,7 @@
 """Tests for tile plans, execution backends, and streaming strips."""
 
 import gc
+import os
 import threading
 import time
 
@@ -96,6 +97,16 @@ class TestBackends:
         assert np.array_equal(s.heights, t.heights)
         p = generate_tiled(gen, bn, plan, backend="process", workers=2)
         assert np.array_equal(s.heights, p.heights)
+        # one provenance rule for every backend: a clean run reports an
+        # idle resilience record, and one plan-cache lookup per tile —
+        # the parent's delta plus the process workers' own
+        for surface in (s, t, p):
+            assert surface.provenance["resilience"] == {
+                "retries": 0, "respawns": 0, "degraded_to": None,
+                "tiles_skipped": 0,
+            }
+            cache = surface.provenance["plan_cache"]
+            assert cache["hits"] + cache["misses"] == len(plan)
 
     def test_different_plans_agree_to_rounding(self, gen):
         bn = BlockNoise(seed=3, block=32)
@@ -442,6 +453,61 @@ class TestNoisePrefetch:
         assert "rng.prefetch" not in rec.span_stats()
         ref = generate_tiled(gen, BlockNoise(seed=2, block=16), self.PLAN)
         assert got.heights.tobytes() == ref.heights.tobytes()
+
+
+class _FailsAt:
+    """Delegates to ``inner``, but the tile at ``at`` raises
+    ``ValueError`` (``kill``: ends its process) after logging the attempt
+    to the file ``log``, which process workers share with the test."""
+
+    def __init__(self, inner, at, log, kill=False):
+        self.inner = inner
+        self.grid = inner.grid
+        self.at = at
+        self.log = str(log)
+        self.kill = kill
+
+    def noise_window(self, x0, y0, nx, ny):
+        return self.inner.noise_window(x0, y0, nx, ny)
+
+    def generate_window(self, noise, x0, y0, nx, ny):
+        if (x0, y0) == self.at:
+            with open(self.log, "a") as fh:
+                fh.write("attempt\n")
+            if self.kill:
+                os._exit(17)
+            raise ValueError(f"tile at {self.at} refuses")
+        return self.inner.generate_window(noise, x0, y0, nx, ny)
+
+
+class TestNoPolicy:
+    """With no resilience keyword the scheduler has no retry policy: the
+    first failure ends the run with the tile's own exception."""
+
+    PLAN = TilePlan(total_nx=64, total_ny=64, tile_nx=32, tile_ny=32)
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_failing_tile_raises_its_own_error_once(
+            self, gen, backend, tmp_path, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        log = tmp_path / "attempts"
+        with pytest.raises(ValueError, match="refuses"):
+            generate_tiled(_FailsAt(gen, (32, 0), log), BlockNoise(seed=3),
+                           self.PLAN, backend=backend, workers=2)
+        assert log.read_text().splitlines() == ["attempt"]
+        assert sleeps == []
+        assert not _prefetch_threads()
+
+    def test_dead_worker_raises_broken_process_pool(self, gen, tmp_path):
+        from concurrent.futures.process import BrokenProcessPool
+
+        log = tmp_path / "attempts"
+        with pytest.raises(BrokenProcessPool):
+            generate_tiled(_FailsAt(gen, (0, 32), log, kill=True),
+                           BlockNoise(seed=3), self.PLAN,
+                           backend="process", workers=2)
+        assert log.read_text().splitlines() == ["attempt"]
 
 
 class TestStripLoop:
