@@ -135,6 +135,11 @@ def point_oriented_weights(
 
     With ``T -> 0`` this degenerates to a hard Voronoi partition of the
     plane among the representative points.
+
+    The queries are evaluated in contiguous blocks of
+    ``_QUERY_BLOCK`` samples, and each block only on the points that
+    can reach it (:func:`_reaching_points`); every other weight is an
+    exact zero, so the result does not depend on the blocking.
     """
     px = np.asarray(px, dtype=float).ravel()
     py = np.asarray(py, dtype=float).ravel()
@@ -142,15 +147,13 @@ def point_oriented_weights(
     qy = np.asarray(qy, dtype=float).ravel()
     m = px.size
     p = qx.size
+    if py.size != m or qy.size != p:
+        raise ValueError("x and y coordinate arrays must have equal sizes")
     if m == 0:
         raise ValueError("need at least one representative point")
-    if half_width < 0:
+    if not half_width >= 0:  # also rejects NaN
         raise ValueError(f"half_width must be >= 0, got {half_width}")
     phi = get_profile(profile)
-
-    # Squared distances point -> query: (M, P)
-    d2 = (px[:, None] - qx[None, :]) ** 2 + (py[:, None] - qy[None, :]) ** 2
-    nearest = np.argmin(d2, axis=0)  # (P,)
     if m == 1:
         return np.ones((1, p))
 
@@ -159,12 +162,83 @@ def point_oriented_weights(
     if np.any(pd[~np.eye(m, dtype=bool)] == 0.0):
         raise ValueError("representative points must be pairwise distinct")
 
+    weights = np.zeros((m, p))
+    start = 0
+    while start < p:
+        # numpy sums the rows of a one-column block pairwise, not in row
+        # order, so dropping zero rows there could change the sum: a lone
+        # last query joins the block before it, and only a one-query call
+        # has a one-column block, which keeps every point.
+        stop = start + _QUERY_BLOCK
+        if stop >= p - 1:
+            stop = p
+        cols = slice(start, stop)
+        start = stop
+        bx, by = qx[cols], qy[cols]
+        if bx.size == 1:
+            keep = np.arange(m)
+        else:
+            keep = _reaching_points(px, py, bx, by, half_width)
+        weights[keep, cols] = _block_weights(
+            px[keep], py[keep], pd[np.ix_(keep, keep)], bx, by,
+            half_width, phi,
+        )
+    return weights
+
+
+#: Queries per block in :func:`point_oriented_weights`: small enough that
+#: the block's ``(M, B)`` temporaries stay in cache.
+_QUERY_BLOCK = 1 << 14  # >= 2: see the one-column note above
+#: Relative and absolute slack of the reach test in :func:`_reaching_points`:
+#: far above the few-ulp rounding of the distances it compares, and of
+#: squared distances below the normal float range.
+_REACH_RTOL = 1e-9
+_REACH_ATOL = 1e-150
+#: Beyond this distance squares may overflow; the reach test keeps every point.
+_REACH_MAX = 1e150
+
+
+def _reaching_points(px, py, qx, qy, half_width: float) -> np.ndarray:
+    """Indices, ascending, of the points that can weigh on some query.
+
+    With ``dmin_m``/``dmax_m`` the least/greatest distance from point
+    ``m`` to the queries' bounding box, a point with
+    ``dmin_m > min_k dmax_k + 2T`` is never nearest, and by the triangle
+    inequality its bisector distance (eqn 42) to the nearest point is
+    ``tau >= (|n - p_m| - |n - p_m*|) / 2 > T``: its weight is exactly 0.
+    Any NaN keeps every point.
+    """
+    x0, x1 = qx.min(), qx.max()
+    y0, y1 = qy.min(), qy.max()
+    dmin = np.hypot(np.maximum(np.maximum(x0 - px, px - x1), 0.0),
+                    np.maximum(np.maximum(y0 - py, py - y1), 0.0))
+    dmax = np.hypot(np.maximum(np.abs(px - x0), np.abs(px - x1)),
+                    np.maximum(np.abs(py - y0), np.abs(py - y1)))
+    if not dmax.max() < _REACH_MAX:
+        return np.arange(px.size)
+    reach = (dmax.min() + 2.0 * half_width) * (1.0 + _REACH_RTOL) + _REACH_ATOL
+    return np.flatnonzero(~(dmin > reach))
+
+
+def _block_weights(px, py, pd, qx, qy, half_width: float, phi) -> np.ndarray:
+    """Eqns (42)-(45) on one query block: ``(M, B)`` weights.
+
+    ``pd`` holds the pairwise point distances.  Rows keep the callers'
+    point order, so ties between nearest points break alike whatever
+    rows were left out, and leaving out rows of exact zeros changes no
+    sum.
+    """
+    m = px.size
+    p = qx.size
+    # Squared distances point -> query: (M, P)
+    d2 = (px[:, None] - qx[None, :]) ** 2 + (py[:, None] - qy[None, :]) ** 2
+    nearest = np.argmin(d2, axis=0)  # (P,)
     d2_min = d2[nearest, np.arange(p)]  # (P,)
-    denom = pd[:, nearest]  # (M, P): |p_m - p_{m*}| per column
-    is_star = np.arange(m)[:, None] == nearest[None, :]
+    star = (nearest, np.arange(p))  # the nearest point of each column
+    denom = np.take(pd, nearest, axis=1)  # (M, P): |p_m - p_{m*}| per column
     with np.errstate(divide="ignore", invalid="ignore"):
         tau = (d2 - d2_min[None, :]) / (2.0 * denom)
-    tau[is_star] = np.inf  # the nearest point is handled by the remainder rule
+    tau[star] = np.inf  # the nearest point is handled by the remainder rule
 
     weights = np.zeros((m, p))
     if half_width > 0.0:
@@ -172,12 +246,10 @@ def point_oriented_weights(
         fade = np.zeros_like(tau)
         fade[active] = 1.0 - phi(tau[active] / half_width)
         m_tilde = active.sum(axis=0)  # (P,) competitor count
-        cols = m_tilde > 0
-        if np.any(cols):
-            weights[:, cols] = fade[:, cols] / (2.0 * m_tilde[None, cols])
+        np.divide(fade, 2.0 * m_tilde, out=weights, where=m_tilde > 0)
     # eqn (45): nearest point absorbs the remainder (=1 when no competitor)
     remainder = 1.0 - weights.sum(axis=0)
-    weights[nearest, np.arange(p)] = remainder
+    weights[star] = remainder
     return weights
 
 
@@ -190,7 +262,9 @@ class PointOrientedLayout:
         Representative points with spectra.  Points sharing a
         :class:`Spectrum` instance (or equal spectra) are blended into a
         single field, so the number of convolutions is the number of
-        *distinct* spectra, not the number of points.
+        *distinct* spectra, not the number of points.  Unhashable
+        spectra merge by identity only: equal but distinct instances
+        stay separate fields.
     half_width:
         Transition half-width ``T`` (eqn 41); "its value should be
         appropriately chosen" — Figure 4 works well with ``T`` of order
@@ -209,6 +283,8 @@ class PointOrientedLayout:
         if not self.points:
             raise ValueError("need at least one representative point")
         self.half_width = float(half_width)
+        if not self.half_width >= 0:  # also rejects NaN
+            raise ValueError(f"half_width must be >= 0, got {half_width}")
         self.profile = profile
 
     def weight_map(self, grid: Grid2D, origin: Tuple[float, float] = (0.0, 0.0)
@@ -222,19 +298,26 @@ class PointOrientedLayout:
             px, py, qx, qy, self.half_width, self.profile
         )  # (n_points, P)
 
-        # Merge points that share a spectrum.
+        # Merge points that share a spectrum (an unhashable one: the same
+        # instance, as in InhomogeneousGenerator._kernel_for).
         spectra: List[Spectrum] = []
         index: dict = {}
-        merged = []
-        for i, p in enumerate(self.points):
+        rows = []
+        for p in self.points:
             key = p.spectrum
+            try:
+                hash(key)
+            except TypeError:
+                key = id(key)
             if key not in index:
                 index[key] = len(spectra)
-                spectra.append(key)
-                merged.append(np.zeros(qx.size))
-            merged[index[key]] += w_pts[i]
-        weights = np.stack(merged).reshape(len(spectra), *grid.shape)
-        wm = WeightMap(spectra=spectra, weights=weights)
+                spectra.append(p.spectrum)
+            rows.append(index[key])
+        weights = np.zeros((len(spectra), qx.size))
+        for row, w in zip(rows, w_pts):
+            weights[row] += w
+        wm = WeightMap(spectra=spectra,
+                       weights=weights.reshape(len(spectra), *grid.shape))
         wm.validate()
         return wm
 
