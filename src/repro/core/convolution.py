@@ -296,12 +296,14 @@ def apply_kernel_valid_fft(
 ) -> np.ndarray:
     """Overlap-save FFT evaluation of the valid correlation.
 
-    The noise window is processed in FFT blocks (one block when the
-    window is small, fixed-size blocks stepped by ``block - kernel + 1``
-    when it is large, see :func:`repro.core.engine.choose_block_shape`);
-    each block is transformed with ``rfft2``, multiplied by the cached
-    padded-kernel spectrum, and inverse-transformed, keeping only the
-    wrap-free samples.  The kernel transform itself comes from ``cache``
+    The one-kernel call of the batched engine's loop
+    (:func:`apply_kernels_valid`).  The noise window is processed in FFT
+    blocks (one block when the window is small, fixed-size blocks
+    stepped by ``block - kernel + 1`` when it is large, see
+    :func:`repro.core.engine.choose_block_shape`); each block is
+    transformed with ``rfft2``, multiplied by the cached padded-kernel
+    spectrum, and inverse-transformed, keeping only the wrap-free
+    samples.  The kernel transform itself comes from ``cache``
     — across a tiled or streamed run it is computed once per kernel and
     block shape, which is what makes this the production hot path.
 
@@ -325,51 +327,20 @@ def apply_kernel_valid_fft(
     produce bit-identical output, so all executor backends agree
     exactly.
     """
-    dt = check_dtype(dtype)
-    noise = _check_valid_shapes(kernel, noise, dt)
+    noise = _check_valid_shapes(kernel, noise, check_dtype(dtype))
     kx, ky = kernel.shape
-    onx = noise.shape[0] - kx + 1
-    ony = noise.shape[1] - ky + 1
-    # h = 0 (or an all-zero truncation) synthesises the flat surface; do
-    # not route it through the cache, whose normalised plans assume a
-    # non-degenerate amplitude.
-    if kernel.scale == 0.0 or not np.any(kernel.values):
-        return np.zeros((onx, ony), dtype=dt)
-    if block_shape is None:
-        block_shape = choose_block_shape(noise.shape, kernel.shape)
-    bx, by = int(block_shape[0]), int(block_shape[1])
-    if bx < kx or by < ky:
+    if block_shape is not None and (block_shape[0] < kx
+                                    or block_shape[1] < ky):
         raise ValueError(
             f"block_shape {block_shape} smaller than kernel {kernel.shape}"
         )
-    plan = (cache if cache is not None else plan_cache).get_plan(
-        kernel, (bx, by), dt
-    )
-    factor = kernel.plan_scale  # undoes the plan's normalisation
-    out = np.empty((onx, ony), dt)
-    step_x = bx - kx + 1
-    step_y = by - ky + 1
-    for x0 in range(0, onx, step_x):
-        nx_blk = min(step_x, onx - x0)
-        for y0 in range(0, ony, step_y):
-            ny_blk = min(step_y, ony - y0)
-            seg = noise[x0 : x0 + bx, y0 : y0 + by]
-            with obs.trace("engine.fft.forward"):
-                spec = sfft.rfft2(seg, s=(bx, by))
-            spec *= plan.kfft
-            with obs.trace("engine.fft.inverse"):
-                conv = sfft.irfft2(spec, s=(bx, by))
-            obs.add("engine.fft.forward_ffts")
-            obs.add("engine.fft.inverse_ffts")
-            obs.add("engine.fft.blocks")
-            # circular wrap contaminates only the first kernel-1 rows /
-            # columns of each block; the rest equals the linear result
-            out[x0 : x0 + nx_blk, y0 : y0 + ny_blk] = conv[
-                kx - 1 : kx - 1 + nx_blk, ky - 1 : ky - 1 + ny_blk
-            ]
-    if factor != 1.0:
-        out *= factor
-    return out
+    # The batched loop on a batch of one, with the kernel's own margins:
+    # its wrap-free slice then starts at row kx - 1, column ky - 1.
+    return _apply_kernels_valid_fft(
+        [kernel], noise, None,
+        (kernel.cx, kx - 1 - kernel.cx, kernel.cy, ky - 1 - kernel.cy),
+        cache=cache, block_shape=block_shape,
+    )[0]
 
 
 def _apply_kernel_valid_fftconvolve(kernel: Kernel, noise: np.ndarray
@@ -450,7 +421,13 @@ def batched_noise_window_for(
 
 
 def _normalize_active(active, n: int) -> Optional[np.ndarray]:
-    """Coerce an active-set spec (bool mask or index sequence) to a mask."""
+    """Coerce an active-set spec to a mask.
+
+    ``active`` is a bool mask of length ``n`` or a sequence of integer
+    kernel indices in ``[0, n)``.  Anything else raises ``ValueError``
+    naming the bad entry: a negative or fractional index would
+    otherwise select some other kernel.
+    """
     if active is None:
         return None
     arr = np.asarray(active)
@@ -460,8 +437,19 @@ def _normalize_active(active, n: int) -> Optional[np.ndarray]:
                 f"active mask shape {arr.shape} != (n_kernels,) = ({n},)"
             )
         return arr
+    if arr.ndim != 1:
+        raise ValueError(
+            f"active must be a bool mask or a sequence of kernel indices, "
+            f"got {active!r}"
+        )
     mask = np.zeros(n, dtype=bool)
-    mask[arr.astype(int)] = True
+    for entry in active:
+        if (isinstance(entry, bool) or not isinstance(entry, (int, np.integer))
+                or not 0 <= entry < n):
+            raise ValueError(
+                f"active entry {entry!r} is not a kernel index in [0, {n})"
+            )
+        mask[entry] = True
     return mask
 
 
@@ -511,8 +499,8 @@ def apply_kernels_valid(
     Returns
     -------
     List of output arrays aligned with ``kernels`` (``None`` for pruned
-    entries).  For a single-kernel batch the FFT result is bit-identical
-    to :func:`apply_kernel_valid_fft` on the same window.
+    entries).  :func:`apply_kernel_valid_fft` runs the same FFT loop on
+    a batch of one.
     """
     engine = _check_engine(engine)
     n = len(kernels)
@@ -591,14 +579,16 @@ def _apply_kernels_valid_fft(
     block_shape: Optional[Tuple[int, int]] = None,
     stats: Optional[BatchStats] = None,
 ) -> "list[Optional[np.ndarray]]":
-    """Shared-forward overlap-save engine for the batch.
+    """Shared-forward overlap-save engine: the only FFT block loop.
 
     Block geometry (and hence FFT rounding) is a pure function of
     ``(noise.shape, margins, block_shape)`` — independent of the active
     set — and each kernel's wrap-free slice starts at row
     ``lx + (kx_m - 1 - cx_m)`` of its inverse transform, which reduces
-    to the single-kernel engine's ``kx - 1`` when the margins are that
-    kernel's own.
+    to ``kx - 1`` when the margins are that kernel's own (the
+    :func:`apply_kernel_valid_fft` call).  The last live kernel of a
+    block multiplies the block spectrum in place; the others need it
+    intact.
     """
     dt = noise.dtype  # caller coerced; one precision for the whole batch
     lx, rx, ly, ry = margins
@@ -631,6 +621,7 @@ def _apply_kernels_valid_fft(
             ly + (k.shape[1] - 1 - k.cy),
         ))
     if plans:
+        last = len(plans) - 1
         step_x = bx - kx_eff + 1
         step_y = by - ky_eff + 1
         for x0 in range(0, onx, step_x):
@@ -645,9 +636,11 @@ def _apply_kernels_valid_fft(
                 if stats is not None:
                     stats.forward_ffts += 1
                     stats.blocks += 1
-                for m, plan, px, py in plans:
+                for i, (m, plan, px, py) in enumerate(plans):
                     with obs.trace("engine.fft.inverse"):
-                        conv = sfft.irfft2(spec * plan.kfft, s=(bx, by))
+                        prod = np.multiply(spec, plan.kfft,
+                                           out=spec if i == last else None)
+                        conv = sfft.irfft2(prod, s=(bx, by))
                     obs.add("engine.fft.inverse_ffts")
                     if stats is not None:
                         stats.inverse_ffts += 1

@@ -166,8 +166,8 @@ class BatchStats:
     ``forward_ffts`` counts noise-block transforms (one per overlap-save
     block, shared by every kernel of the batch); ``inverse_ffts`` counts
     per-kernel inverse transforms; ``kernels_active``/``kernels_skipped``
-    count batch entries convolved vs pruned.  The per-region PR 1 path
-    would have paid ``blocks * kernels_active`` forward transforms.
+    count batch entries convolved vs pruned.  Per-kernel calls would
+    have paid ``blocks * kernels_active`` forward transforms.
     """
 
     forward_ffts: int = 0
@@ -175,13 +175,6 @@ class BatchStats:
     blocks: int = 0
     kernels_active: int = 0
     kernels_skipped: int = 0
-
-    def merge(self, other: "BatchStats") -> None:
-        self.forward_ffts += other.forward_ffts
-        self.inverse_ffts += other.inverse_ffts
-        self.blocks += other.blocks
-        self.kernels_active += other.kernels_active
-        self.kernels_skipped += other.kernels_skipped
 
     def as_dict(self) -> Dict[str, int]:
         return {

@@ -444,14 +444,12 @@ class InhomogeneousGenerator:
         grid: Grid2D,
         truncation: TruncationSpec = 0.9999,
         engine: str = "auto",
-        prune: bool = True,
         dtype="float64",
     ) -> None:
         self.layout = layout
         self.grid = grid
         self.truncation = truncation
         self.engine = _check_engine(engine)
-        self.prune = bool(prune)
         self.dtype = check_dtype(dtype)
         self._weight_map: Optional[WeightMap] = None
         self._kernels: Optional[List[Kernel]] = None
@@ -547,11 +545,10 @@ class InhomogeneousGenerator:
         # three boundary modes.
         lx, rx, ly, ry = common_margins(kernels)
         padded = np.pad(noise, ((lx, rx), (ly, ry)), mode=_pad_mode(boundary))
-        active = wm.support() if self.prune else None
         stats = BatchStats()
         fields = apply_kernels_valid(
-            kernels, padded, active=active, engine=self.engine, stats=stats,
-            dtype=self.dtype,
+            kernels, padded, active=wm.support(), engine=self.engine,
+            stats=stats, dtype=self.dtype,
         )
         # The float64 blend weights promote float32 fields during the
         # weighted sum; cast back so the surface carries the requested
@@ -604,10 +601,9 @@ class InhomogeneousGenerator:
         # Active set: regions with zero blend weight everywhere in this
         # window are not convolved at all.  Margins stay those of the
         # full batch, so pruning is bit-transparent.
-        active = wm.support() if self.prune else None
         stats = BatchStats()
         fields = apply_kernels_valid(
-            kernels, window, active=active, engine=self.engine,
+            kernels, window, active=wm.support(), engine=self.engine,
             margins=margins, stats=stats, dtype=self.dtype,
         )
         heights = blend_fields(wm.weights, fields).astype(

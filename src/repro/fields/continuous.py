@@ -123,7 +123,6 @@ class ContinuousGenerator:
         levels: int | Sequence[float] = 5,
         truncation: TruncationSpec = 0.999,
         engine: str = "auto",
-        prune: bool = True,
     ) -> None:
         self.family = family
         self.h_field = h_field
@@ -131,7 +130,6 @@ class ContinuousGenerator:
         self.grid = grid
         self.truncation = truncation
         self.engine = _check_engine(engine)
-        self.prune = bool(prune)
 
         if isinstance(levels, (int, np.integer)):
             if levels < 1:
@@ -237,7 +235,7 @@ class ContinuousGenerator:
         stats = BatchStats()
         fields = apply_kernels_valid(
             self._kernels, padded,
-            active=used if self.prune else None,
+            active=used,
             engine=self.engine, stats=stats,
         )
         heights = self._blend_levels(fields, lower, upper, w_lo, w_hi, h_vals)
@@ -280,7 +278,7 @@ class ContinuousGenerator:
         stats = BatchStats()
         fields = apply_kernels_valid(
             self._kernels, window,
-            active=used if self.prune else None,
+            active=used,
             engine=self.engine, margins=margins, stats=stats,
         )
         heights = self._blend_levels(fields, lower, upper, w_lo, w_hi, h_vals)

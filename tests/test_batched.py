@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.core.convolution import (
-    apply_kernel_valid_fft,
     apply_kernel_valid_spatial,
     apply_kernels_valid,
     batched_noise_window_for,
@@ -22,6 +21,7 @@ from repro.core.engine import BatchStats, common_margins
 from repro.core.grid import Grid2D
 from repro.core.inhomogeneous import (
     InhomogeneousGenerator,
+    blend_fields,
     blend_reference,
     kernel_stack,
 )
@@ -32,6 +32,7 @@ from repro.fields.parameter_map import LayeredLayout, RegionSpec, WeightMap
 from repro.fields.regions import Circle
 from repro.parallel.executor import generate_tiled
 from repro.parallel.tiles import TilePlan
+from tests.test_convolution import _reference_apply_kernel_valid_fft
 
 
 @pytest.fixture
@@ -118,7 +119,8 @@ class TestApplyKernelsValid:
         k = kernels[0]
         noise = standard_normal_field((36, 36), seed=13)
         batched = apply_kernels_valid([k], noise, engine="fft")[0]
-        assert np.array_equal(batched, apply_kernel_valid_fft(k, noise))
+        assert np.array_equal(batched,
+                              _reference_apply_kernel_valid_fft(k, noise))
 
     def test_empty_batch(self):
         assert apply_kernels_valid([], np.zeros((8, 8))) == []
@@ -142,6 +144,8 @@ class TestApplyKernelsValid:
         by_index = apply_kernels_valid(kernels, noise, active=[1])
         assert by_mask[0] is None and by_index[0] is None
         assert np.array_equal(by_mask[1], by_index[1])
+        by_numpy = apply_kernels_valid(kernels, noise, active=np.array([1]))
+        assert np.array_equal(by_numpy[1], by_index[1])
 
     def test_stats_counters_single_block(self, kernels):
         noise = standard_normal_field((40, 40), seed=15)
@@ -159,6 +163,17 @@ class TestApplyKernelsValid:
             apply_kernels_valid(
                 kernels, np.zeros((40, 40)), active=np.array([True, False])
             )
+
+    @pytest.mark.parametrize("active, bad", [
+        ([-1], "-1"),    # would wrap round to the last kernel
+        ([0.9], "0.9"),  # would truncate to kernel 0
+        ([3], "3"),      # past the end of a batch of 3
+        ([0, 2, 7], "7"),
+    ])
+    def test_bad_active_index_rejected(self, kernels, active, bad):
+        with pytest.raises(ValueError,
+                           match=rf"active entry {bad} is not a kernel index"):
+            apply_kernels_valid(kernels, np.zeros((40, 40)), active=active)
 
     def test_margins_too_small_rejected(self, kernels):
         with pytest.raises(ValueError, match="margins"):
@@ -220,20 +235,33 @@ def patch_layout():
     )
 
 
+def _unpruned_window(gen, noise, x0, y0, nx, ny):
+    """Every region convolved (no active set), blended like the
+    generator: the reference that pruning must reproduce bit for bit."""
+    wm = gen.layout.weight_map(gen.grid.with_shape(nx, ny),
+                               origin=(x0 * gen.grid.dx, y0 * gen.grid.dy))
+    kernels = [gen._kernel_for(s) for s in wm.spectra]
+    fields = apply_kernels_valid(
+        kernels, noise.window(*gen.noise_window(x0, y0, nx, ny)),
+        active=None, engine=gen.engine, margins=common_margins(kernels),
+    )
+    return blend_fields(wm.weights, fields)
+
+
 class TestGeneratorPruning:
     def test_windows_bit_identical_with_and_without_pruning(
         self, patch_layout, grid
     ):
-        kwargs = dict(truncation=(5, 5), engine="fft")
-        gen_p = InhomogeneousGenerator(patch_layout, grid, prune=True,
-                                       **kwargs)
-        gen_u = InhomogeneousGenerator(patch_layout, grid, prune=False,
-                                       **kwargs)
+        gen = InhomogeneousGenerator(patch_layout, grid, truncation=(5, 5),
+                                     engine="fft")
         noise = BlockNoise(seed=5)
+        skipped = 0
         for (x0, y0) in [(0, 0), (16, 16), (32, 0), (-8, 40)]:
-            a = gen_p.generate_window(noise, x0, y0, 16, 16)
-            b = gen_u.generate_window(noise, x0, y0, 16, 16)
-            assert np.array_equal(a.heights, b.heights)
+            a = gen.generate_window(noise, x0, y0, 16, 16)
+            b = _unpruned_window(gen, noise, x0, y0, 16, 16)
+            assert np.array_equal(a.heights, b)
+            skipped += a.provenance["regions_skipped"]
+        assert skipped > 0
 
     def test_far_window_convolves_exactly_one_kernel(self, patch_layout, grid):
         gen = InhomogeneousGenerator(patch_layout, grid, truncation=(5, 5))
@@ -258,13 +286,16 @@ class TestGeneratorPruning:
                                 half_width=2.0)],
         )
         x = standard_normal_field(grid.shape, seed=9)
-        pruned = InhomogeneousGenerator(layout, grid, truncation=(5, 5),
-                                        prune=True).generate(noise=x)
-        unpruned = InhomogeneousGenerator(layout, grid, truncation=(5, 5),
-                                          prune=False).generate(noise=x)
+        gen = InhomogeneousGenerator(layout, grid, truncation=(5, 5))
+        pruned = gen.generate(noise=x)
+        margins = common_margins(gen.kernels)
+        lx, rx, ly, ry = margins
+        padded = np.pad(x, ((lx, rx), (ly, ry)), mode="wrap")
+        unpruned = blend_fields(gen.weight_map.weights, apply_kernels_valid(
+            gen.kernels, padded, active=None, margins=margins,
+        ))
         assert pruned.provenance["regions_skipped"] == 1
-        assert unpruned.provenance["regions_skipped"] == 0
-        assert np.array_equal(pruned.heights, unpruned.heights)
+        assert np.array_equal(pruned.heights, unpruned)
 
     def test_pruned_blend_matches_literal_reference(self):
         # subset-seeing layout: the reference evaluates eqn (37)
@@ -328,15 +359,28 @@ class TestContinuousLevelPruning:
             levels=[2.0, 4.0, 6.0],
             truncation=(4, 4),
         )
-        gen_p = ContinuousGenerator(prune=True, **kwargs)
-        gen_u = ContinuousGenerator(prune=False, **kwargs)
+        gen = ContinuousGenerator(**kwargs)
+        margins = common_margins(gen._kernels)
+
+        def unpruned(noise, gx, gy):
+            # every level convolved (no active set), blended like the
+            # generator: the reference pruning must reproduce bit for bit
+            lower, upper, w_lo, w_hi, h_vals, _used = gen._level_mix(gx, gy)
+            fields = apply_kernels_valid(gen._kernels, noise, active=None,
+                                         margins=margins)
+            return gen._blend_levels(fields, lower, upper, w_lo, w_hi,
+                                     h_vals)
+
         noise = BlockNoise(seed=3)
-        a = gen_p.generate_window(noise, 0, 0, 16, 16)
-        b = gen_u.generate_window(noise, 0, 0, 16, 16)
-        assert np.array_equal(a.heights, b.heights)
+        a = gen.generate_window(noise, 0, 0, 16, 16)
+        gx, gy = grid.with_shape(16, 16).meshgrid()
+        b = unpruned(noise.window(*gen.noise_window(0, 0, 16, 16)), gx, gy)
+        assert np.array_equal(a.heights, b)
         assert a.provenance["levels_skipped"] > 0
-        assert b.provenance["levels_skipped"] == 0
         x = standard_normal_field(grid.shape, seed=4)
-        fa = gen_p.generate(noise=x)
-        fb = gen_u.generate(noise=x)
-        assert np.array_equal(fa.heights, fb.heights)
+        fa = gen.generate(noise=x)
+        lx, rx, ly, ry = margins
+        padded = np.pad(x, ((lx, rx), (ly, ry)), mode="wrap")
+        fb = unpruned(padded, *grid.meshgrid())
+        assert fa.provenance["levels_skipped"] > 0
+        assert np.array_equal(fa.heights, fb)

@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft as sfft
 
+from repro import obs
+from repro.core import convolution
 from repro.core.convolution import (
     ENGINES,
     SPATIAL_KERNEL_AREA_MAX,
     ConvolutionGenerator,
     _apply_kernel_valid_fftconvolve,
+    _check_valid_shapes,
     apply_kernel_valid,
     apply_kernel_valid_fft,
     apply_kernel_valid_spatial,
+    apply_kernels_valid,
     convolve_full,
     convolve_reference,
     convolve_spatial,
@@ -21,7 +26,13 @@ from repro.core.convolution import (
     resolve_kernel,
     select_engine,
 )
-from repro.core.engine import KernelPlanCache, choose_block_shape
+from repro.core.engine import (
+    KernelPlanCache,
+    check_dtype,
+    choose_block_shape,
+    common_margins,
+    plan_cache,
+)
 from repro.core.grid import Grid2D
 from repro.core.rng import BlockNoise, standard_normal_field
 from repro.core.spectra import (
@@ -313,6 +324,176 @@ class TestEngineEquivalence:
         other = apply_kernel_valid_fft(kern, noise, cache=KernelPlanCache())
         assert np.array_equal(first, second)
         assert np.array_equal(first, other)
+
+
+def _reference_apply_kernel_valid_fft(kernel, noise, cache=None,
+                                      block_shape=None, dtype=np.float64):
+    """The single-kernel overlap-save loop as it stood before it became a
+    call of the batched loop, kept verbatim as the bytes oracle."""
+    dt = check_dtype(dtype)
+    noise = _check_valid_shapes(kernel, noise, dt)
+    kx, ky = kernel.shape
+    onx = noise.shape[0] - kx + 1
+    ony = noise.shape[1] - ky + 1
+    # h = 0 (or an all-zero truncation) synthesises the flat surface; do
+    # not route it through the cache, whose normalised plans assume a
+    # non-degenerate amplitude.
+    if kernel.scale == 0.0 or not np.any(kernel.values):
+        return np.zeros((onx, ony), dtype=dt)
+    if block_shape is None:
+        block_shape = choose_block_shape(noise.shape, kernel.shape)
+    bx, by = int(block_shape[0]), int(block_shape[1])
+    if bx < kx or by < ky:
+        raise ValueError(
+            f"block_shape {block_shape} smaller than kernel {kernel.shape}"
+        )
+    plan = (cache if cache is not None else plan_cache).get_plan(
+        kernel, (bx, by), dt
+    )
+    factor = kernel.plan_scale  # undoes the plan's normalisation
+    out = np.empty((onx, ony), dt)
+    step_x = bx - kx + 1
+    step_y = by - ky + 1
+    for x0 in range(0, onx, step_x):
+        nx_blk = min(step_x, onx - x0)
+        for y0 in range(0, ony, step_y):
+            ny_blk = min(step_y, ony - y0)
+            seg = noise[x0 : x0 + bx, y0 : y0 + by]
+            with obs.trace("engine.fft.forward"):
+                spec = sfft.rfft2(seg, s=(bx, by))
+            spec *= plan.kfft
+            with obs.trace("engine.fft.inverse"):
+                conv = sfft.irfft2(spec, s=(bx, by))
+            obs.add("engine.fft.forward_ffts")
+            obs.add("engine.fft.inverse_ffts")
+            obs.add("engine.fft.blocks")
+            # circular wrap contaminates only the first kernel-1 rows /
+            # columns of each block; the rest equals the linear result
+            out[x0 : x0 + nx_blk, y0 : y0 + ny_blk] = conv[
+                kx - 1 : kx - 1 + nx_blk, ky - 1 : ky - 1 + ny_blk
+            ]
+    if factor != 1.0:
+        out *= factor
+    return out
+
+
+@st.composite
+def _oracle_kernels(draw):
+    """Spectrum-built (odd, plan-scaled, possibly h = 0) or hand-built
+    (odd, even, off-centre) kernels."""
+    if draw(st.booleans()):
+        spec = _family_spectrum(
+            draw(st.sampled_from(["gaussian", "exponential"])),
+            draw(st.sampled_from([0.0, 0.4, 1.0, 2.5])), 6.0,
+        )
+        half = (draw(st.integers(0, 6)), draw(st.integers(0, 6)))
+        grid = Grid2D(nx=32, ny=32, lx=64.0, ly=64.0)
+        return resolve_kernel(spec, grid, half)
+    kx, ky = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    return Kernel(values=rng.standard_normal((kx, ky)),
+                  cx=draw(st.integers(0, kx - 1)),
+                  cy=draw(st.integers(0, ky - 1)), dx=1.0, dy=1.0)
+
+
+class TestOneOverlapSaveLoop:
+    """``apply_kernel_valid_fft`` runs the batched loop on a batch of one;
+    its bytes are those of the single-kernel loop it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kern=_oracle_kernels(),
+        out_x=st.integers(1, 45),
+        out_y=st.integers(1, 45),
+        # None: automatic policy; else block = kernel + extra, so the
+        # window is, or is not, a multiple of the block step
+        extra=st.one_of(st.none(), st.tuples(st.integers(0, 12),
+                                              st.integers(0, 12))),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        seed=st.integers(0, 2**31),
+    )
+    def test_bytes_equal_reference_loop(self, kern, out_x, out_y, extra,
+                                        dtype, seed):
+        kx, ky = kern.shape
+        noise = np.random.default_rng(seed).standard_normal(
+            (kx + out_x - 1, ky + out_y - 1)
+        )
+        block = None if extra is None else (kx + extra[0], ky + extra[1])
+        got = apply_kernel_valid_fft(kern, noise, cache=KernelPlanCache(),
+                                     block_shape=block, dtype=dtype)
+        want = _reference_apply_kernel_valid_fft(
+            kern, noise, cache=KernelPlanCache(), block_shape=block,
+            dtype=dtype,
+        )
+        assert got.dtype == want.dtype == np.dtype(dtype)
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kerns=st.lists(_oracle_kernels(), min_size=2, max_size=4),
+        out_x=st.integers(1, 30),
+        out_y=st.integers(1, 30),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        seed=st.integers(0, 2**31),
+    )
+    def test_batch_members_match_reference_on_own_subwindow(
+        self, kerns, out_x, out_y, dtype, seed
+    ):
+        lx, rx, ly, ry = common_margins(kerns)
+        window = (out_x + lx + rx, out_y + ly + ry)
+        noise = np.random.default_rng(seed).standard_normal(window)
+        cache = KernelPlanCache()
+        # One block covering the window: every member and the reference
+        # transform the same block with the same plan, so the member is
+        # the reference's output cut to the member's sub-window, exactly.
+        single = apply_kernels_valid(kerns, noise, engine="fft", cache=cache,
+                                     block_shape=window, dtype=dtype)
+        # Small blocks: block seams fall elsewhere than in a reference
+        # run on the sub-window, so FFT rounding differs.
+        steps = (min(4, out_x), min(3, out_y))
+        multi = apply_kernels_valid(
+            kerns, noise, engine="fft", cache=cache, dtype=dtype,
+            block_shape=(lx + rx + steps[0], ly + ry + steps[1]),
+        )
+        tol = 1e-12 if dtype == np.float64 else 1e-4
+        for k, one, many in zip(kerns, single, multi):
+            ox, oy = lx - k.cx, ly - k.cy
+            whole = _reference_apply_kernel_valid_fft(
+                k, noise, cache=cache, block_shape=window, dtype=dtype)
+            assert np.array_equal(one, whole[ox : ox + out_x,
+                                             oy : oy + out_y])
+            sub = noise[ox : ox + out_x + k.shape[0] - 1,
+                        oy : oy + out_y + k.shape[1] - 1]
+            own = _reference_apply_kernel_valid_fft(k, sub, cache=cache,
+                                                    dtype=dtype)
+            scale = max(1.0, float(np.max(np.abs(own))))
+            assert np.max(np.abs(many - own)) <= tol * scale
+
+    def test_single_kernel_skips_public_batch_entry(self, gaussian, grid,
+                                                    monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("apply_kernels_valid called")
+
+        monkeypatch.setattr(convolution, "apply_kernels_valid", refuse)
+        kern = resolve_kernel(gaussian, grid, (6, 6))  # 13x13
+        noise = standard_normal_field((90, 83), seed=26)
+
+        def n_blocks(block):  # blocks of 78 x 71 outputs
+            return (-(-78 // (block[0] - 12))) * (-(-71 // (block[1] - 12)))
+
+        with obs.recording() as rec:
+            out = apply_kernel_valid(kern, noise, engine="fft",
+                                     cache=KernelPlanCache())
+            blocked = apply_kernel_valid_fft(
+                kern, noise, cache=KernelPlanCache(), block_shape=(16, 18))
+        assert out.shape == blocked.shape == (78, 71)
+        expected = (n_blocks(choose_block_shape(noise.shape, kern.shape))
+                    + n_blocks((16, 18)))
+        m = rec.metrics
+        for name in ("forward_ffts", "inverse_ffts", "blocks"):
+            assert m.counter("engine.fft." + name) == expected
+        assert m.counters("batch.") == {}
+        assert m.counter("conv.dispatch.fft") == 1
 
 
 class TestConvolutionGenerator:
