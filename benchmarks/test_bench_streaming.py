@@ -12,6 +12,8 @@ stationary, and reports the streaming throughput in samples/second.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from conftest import bench_n
@@ -44,7 +46,9 @@ def test_bench_c4_streaming(benchmark, gen, record):
             stds.append(s.height_std())
         return np.array(stds)
 
+    t0 = time.perf_counter()
     stds = benchmark.pedantic(run, rounds=1, iterations=1)
+    t_pedantic = time.perf_counter() - t0
     assert stds.shape == (16,)
     # stationarity along the transect: every strip realises h = 1
     assert np.all(np.abs(stds - 1.0) < 0.15)
@@ -62,7 +66,9 @@ def test_bench_c4_streaming(benchmark, gen, record):
     err = float(np.max(np.abs(joined - seam)))
     assert err < 1e-9
 
-    elapsed = benchmark.stats.stats.mean
+    # --benchmark-disable runs the target once and keeps no stats
+    elapsed = (benchmark.stats.stats.mean if benchmark.stats is not None
+               else t_pedantic)
     record("c4_streaming", {
         "claim": "C4: unbounded surfaces by successive computation",
         "total_samples": total_nx * width,

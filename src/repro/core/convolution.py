@@ -301,11 +301,13 @@ def apply_kernel_valid_fft(
     blocks (one block when the window is small, fixed-size blocks
     stepped by ``block - kernel + 1`` when it is large, see
     :func:`repro.core.engine.choose_block_shape`); each block is
-    transformed with ``rfft2``, multiplied by the cached padded-kernel
-    spectrum, and inverse-transformed, keeping only the wrap-free
-    samples.  The kernel transform itself comes from ``cache``
-    — across a tiled or streamed run it is computed once per kernel and
-    block shape, which is what makes this the production hot path.
+    transformed with ``rfft2`` and multiplied by the cached
+    padded-kernel spectrum; the inverse runs ``irfft2``'s column pass on
+    the whole block but its row pass only on the wrap-free rows it
+    keeps, with the same bytes.  The kernel transform itself comes from
+    ``cache`` — across a tiled or streamed run it is computed once per
+    kernel and block shape, which is what makes this the production hot
+    path.
 
     Parameters
     ----------
@@ -313,8 +315,9 @@ def apply_kernel_valid_fft(
         Plan cache (default: process-wide :data:`~repro.core.engine.
         plan_cache`).
     block_shape:
-        Explicit per-axis FFT lengths (testing/tuning); must be at least
-        the kernel support per axis.  Default: automatic policy.
+        Explicit per-axis FFT lengths (testing/tuning): two integers, at
+        least the kernel support per axis, else ``ValueError``.
+        Default: automatic policy.
     dtype:
         Engine precision; ``float32`` plans/spectra halve the memory
         traffic (the 4096^2 homogeneous hot path gains >= 1.3x, gated
@@ -329,11 +332,6 @@ def apply_kernel_valid_fft(
     """
     noise = _check_valid_shapes(kernel, noise, check_dtype(dtype))
     kx, ky = kernel.shape
-    if block_shape is not None and (block_shape[0] < kx
-                                    or block_shape[1] < ky):
-        raise ValueError(
-            f"block_shape {block_shape} smaller than kernel {kernel.shape}"
-        )
     # The batched loop on a batch of one, with the kernel's own margins:
     # its wrap-free slice then starts at row kx - 1, column ky - 1.
     return _apply_kernels_valid_fft(
@@ -589,6 +587,15 @@ def _apply_kernels_valid_fft(
     :func:`apply_kernel_valid_fft` call).  The last live kernel of a
     block multiplies the block spectrum in place; the others need it
     intact.
+
+    The inverse is ``irfft2``-then-slice, pruned with the same bytes.
+    pocketfft's ``irfft2`` is a c2c pass along axis 0, then a c2r pass
+    along axis 1 that alone applies the factor ``T(1 / (long double)
+    (bx * by))``.  The loop runs the same c2c pass, the c2r pass on the
+    ``nx_blk`` kept rows only, and the same factor as one multiply into
+    the output.  ``block_shape`` must be two integers (a bool is not
+    one) no smaller than the footprint; anything else is a
+    ``ValueError`` naming it.
     """
     dt = noise.dtype  # caller coerced; one precision for the whole batch
     lx, rx, ly, ry = margins
@@ -598,12 +605,21 @@ def _apply_kernels_valid_fft(
     ony = noise.shape[1] - ky_eff + 1
     if block_shape is None:
         block_shape = choose_block_shape(noise.shape, (kx_eff, ky_eff))
-    bx, by = int(block_shape[0]), int(block_shape[1])
+    try:
+        bx, by = block_shape
+    except (TypeError, ValueError):
+        bx = by = None
+    if not all(isinstance(b, (int, np.integer)) and not isinstance(b, bool)
+               for b in (bx, by)):
+        raise ValueError(
+            f"block_shape must be two integers, got {block_shape!r}"
+        )
     if bx < kx_eff or by < ky_eff:
         raise ValueError(
-            f"block_shape {block_shape} smaller than batch footprint "
+            f"block_shape {block_shape} smaller than kernel footprint "
             f"({kx_eff}, {ky_eff})"
         )
+    bx, by = int(bx), int(by)
     cache = cache if cache is not None else plan_cache
     outs: "list[Optional[np.ndarray]]" = [None] * len(kernels)
     plans = []  # (index, plan, row offset, col offset) of live kernels
@@ -622,6 +638,9 @@ def _apply_kernels_valid_fft(
         ))
     if plans:
         last = len(plans) - 1
+        # irfft2's own factor, T(1 / (long double)(bx * by)); 1.0 / (bx *
+        # by) rounds differently for some block shapes
+        inv_n = dt.type(1 / np.longdouble(bx * by))
         step_x = bx - kx_eff + 1
         step_y = by - ky_eff + 1
         for x0 in range(0, onx, step_x):
@@ -640,13 +659,18 @@ def _apply_kernels_valid_fft(
                     with obs.trace("engine.fft.inverse"):
                         prod = np.multiply(spec, plan.kfft,
                                            out=spec if i == last else None)
-                        conv = sfft.irfft2(prod, s=(bx, by))
+                        cols = sfft.ifft(prod, axis=0, norm="forward",
+                                         overwrite_x=True)
+                        rows = sfft.irfft(cols[px : px + nx_blk], n=by,
+                                          axis=1, norm="forward",
+                                          overwrite_x=True)
+                        np.multiply(
+                            rows[:, py : py + ny_blk], inv_n,
+                            out=outs[m][x0 : x0 + nx_blk, y0 : y0 + ny_blk],
+                        )
                     obs.add("engine.fft.inverse_ffts")
                     if stats is not None:
                         stats.inverse_ffts += 1
-                    outs[m][x0 : x0 + nx_blk, y0 : y0 + ny_blk] = conv[
-                        px : px + nx_blk, py : py + ny_blk
-                    ]
     for m, _plan, _px, _py in plans:
         factor = kernels[m].plan_scale
         if factor != 1.0:

@@ -66,8 +66,10 @@ def acf2d_unbiased(heights: np.ndarray, demean: bool = True,
     if max_lag is None:
         max_lag = (nx // 4, ny // 4)
     lx, ly = max_lag
-    if lx >= nx or ly >= ny:
-        raise ValueError("max_lag must be smaller than the field")
+    if not (0 <= lx < nx and 0 <= ly < ny):
+        raise ValueError(
+            f"max_lag {max_lag!r} must satisfy 0 <= lag < {(nx, ny)} per axis"
+        )
     px, py = 2 * nx, 2 * ny
     spec = np.fft.rfft2(f, s=(px, py))
     raw = np.fft.irfft2(spec * np.conj(spec), s=(px, py))

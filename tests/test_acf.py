@@ -68,6 +68,13 @@ class TestAcfUnbiased:
         with pytest.raises(ValueError):
             acf2d_unbiased(np.zeros((8, 8)), max_lag=(8, 2))
 
+    @pytest.mark.parametrize("max_lag", [(-1, 3), (3, -2)])
+    def test_negative_max_lag_rejected(self, rng, max_lag):
+        # (-1, 3) used to return an empty (0, 4) array, (3, -2) a bare
+        # numpy broadcast error
+        with pytest.raises(ValueError, match=r"max_lag"):
+            acf2d_unbiased(rng.standard_normal((16, 16)), max_lag=max_lag)
+
     def test_no_circular_leakage(self):
         # a linear ramp has wildly different circular vs aperiodic ACF;
         # the unbiased estimator must not see the wrap discontinuity

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import fft as sfft
 
@@ -494,6 +494,148 @@ class TestOneOverlapSaveLoop:
             assert m.counter("engine.fft." + name) == expected
         assert m.counters("batch.") == {}
         assert m.counter("conv.dispatch.fft") == 1
+
+
+def _irfft2_then_slice(kernels, noise, margins, block, cache):
+    """The FFT loop with the unpruned inverse: ``irfft2`` of each whole
+    block, then the kept slice."""
+    dt = noise.dtype
+    lx, rx, ly, ry = margins
+    bx, by = block
+    onx = noise.shape[0] - (lx + rx)
+    ony = noise.shape[1] - (ly + ry)
+    step_x, step_y = bx - lx - rx, by - ly - ry
+    outs = []
+    for k in kernels:
+        plan = cache.get_plan(k, block, dt)
+        px = lx + k.shape[0] - 1 - k.cx
+        py = ly + k.shape[1] - 1 - k.cy
+        out = np.empty((onx, ony), dt)
+        for x0 in range(0, onx, step_x):
+            nx_blk = min(step_x, onx - x0)
+            for y0 in range(0, ony, step_y):
+                ny_blk = min(step_y, ony - y0)
+                spec = sfft.rfft2(noise[x0 : x0 + bx, y0 : y0 + by], s=block)
+                conv = sfft.irfft2(spec * plan.kfft, s=block)
+                out[x0 : x0 + nx_blk, y0 : y0 + ny_blk] = conv[
+                    px : px + nx_blk, py : py + ny_blk]
+        if k.plan_scale != 1.0:
+            out *= k.plan_scale
+        outs.append(out)
+    return outs
+
+
+@st.composite
+def _pruned_inverse_case(draw):
+    """A block shape, batch margins and one or two kernels inside them,
+    so each kernel's kept-row offset ``px`` can be anything in
+    ``[0, lx + rx]`` (likewise ``py``)."""
+    block = draw(st.sampled_from([
+        (64, 48), (40, 45), (32, 50),           # 5-smooth
+        (67, 89), (61, 47), (97, 101), (13, 17),  # not 5-smooth
+        (3, 2731),                              # prime: Bluestein
+    ]))
+    margins = []
+    for b in block:
+        foot = draw(st.integers(1, min(b, 24)))
+        lo = draw(st.integers(0, foot - 1))
+        margins += [lo, foot - 1 - lo]
+    lx, rx, ly, ry = margins
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    kernels = []
+    for _ in range(draw(st.integers(1, 2))):
+        cx, cy = draw(st.integers(0, lx)), draw(st.integers(0, ly))
+        kx = cx + 1 + draw(st.integers(0, rx))
+        ky = cy + 1 + draw(st.integers(0, ry))
+        kernels.append(Kernel(values=rng.standard_normal((kx, ky)),
+                              cx=cx, cy=cy, dx=1.0, dy=1.0))
+    # up to two blocks and a part per axis
+    out_x = draw(st.integers(1, 2 * (block[0] - lx - rx) + 1))
+    out_y = draw(st.integers(1, 2 * (block[1] - ly - ry) + 1))
+    return block, tuple(margins), kernels, (out_x, out_y)
+
+
+class TestPrunedInverse:
+    """The loop's inverse runs ``irfft2``'s c2r pass on the kept rows only;
+    its bytes are those of ``irfft2``-then-slice."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_pruned_inverse_case(),
+           dtype=st.sampled_from([np.float64, np.float32]),
+           seed=st.integers(0, 2**31))
+    # 1.0 / (67 * 89) is one ulp off irfft2's long-double factor in float64
+    @example(case=((67, 89), (3, 4, 5, 6), [Kernel(
+        values=np.arange(1.0, 71.0).reshape(7, 10), cx=2, cy=4, dx=1.0,
+        dy=1.0)], (120, 150)), dtype=np.float64, seed=0)
+    def test_bytes_equal_irfft2_then_slice(self, case, dtype, seed):
+        block, margins, kernels, (out_x, out_y) = case
+        lx, rx, ly, ry = margins
+        noise = np.random.default_rng(seed).standard_normal(
+            (out_x + lx + rx, out_y + ly + ry)).astype(dtype)
+        cache = KernelPlanCache()
+        got = apply_kernels_valid(kernels, noise, engine="fft", cache=cache,
+                                  block_shape=block, margins=margins,
+                                  dtype=dtype)
+        want = _irfft2_then_slice(kernels, noise, margins, block, cache)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == np.dtype(dtype)
+            assert np.array_equal(g, w)
+
+    def test_fig4_block_inverts_only_kept_rows(self, monkeypatch):
+        # fig4's 1103^2 kernel on a 512^2 tile: one 1620^2 block, 512 of
+        # whose rows are kept
+        rows = []
+
+        class Recorder:
+            def __getattr__(self, name):
+                return getattr(sfft, name)
+
+            def irfft(self, x, *args, **kwargs):
+                rows.append(x.shape[0])
+                return sfft.irfft(x, *args, **kwargs)
+
+            def irfft2(self, *args, **kwargs):
+                raise AssertionError("irfft2 called")
+
+        monkeypatch.setattr(convolution, "sfft", Recorder())
+        values = np.zeros((1103, 1103))
+        values[551, 551] = 1.0
+        kern = Kernel(values=values, cx=551, cy=551, dx=1.0, dy=1.0)
+        noise = standard_normal_field((1614, 1614), seed=27)
+        out = apply_kernel_valid_fft(kern, noise, cache=KernelPlanCache(),
+                                     block_shape=(1620, 1620))
+        assert rows == [512]
+        assert out.shape == (512, 512)
+        # a unit impulse at the centre returns the window's middle
+        assert np.max(np.abs(out - noise[551:1063, 551:1063])) <= 1e-12
+
+
+class TestBlockShapeValidation:
+    """``block_shape`` is exactly two integers; both entry points share
+    the loop's check."""
+
+    @pytest.mark.parametrize("block", [
+        (40.9, 40), (True, 40), (40, False), "40", ("40", 40), (40, 40, 7),
+        (40,), 40,
+    ])
+    def test_rejected(self, block):
+        kern = Kernel(values=np.ones((3, 3)), cx=1, cy=1, dx=1.0, dy=1.0)
+        noise = np.zeros((40, 40))
+        with pytest.raises(ValueError, match="block_shape") as single:
+            apply_kernel_valid_fft(kern, noise, block_shape=block)
+        with pytest.raises(ValueError, match="block_shape") as batch:
+            apply_kernels_valid([kern, kern], noise, engine="fft",
+                                block_shape=block)
+        for err in (single, batch):
+            assert repr(block) in str(err.value)
+
+    def test_numpy_integers_accepted(self):
+        kern = Kernel(values=np.ones((3, 3)), cx=1, cy=1, dx=1.0, dy=1.0)
+        noise = standard_normal_field((40, 40), seed=28)
+        want = apply_kernel_valid_fft(kern, noise, block_shape=(16, 18))
+        got = apply_kernel_valid_fft(kern, noise,
+                                     block_shape=np.array([16, 18]))
+        assert np.array_equal(got, want)
 
 
 class TestConvolutionGenerator:
