@@ -1351,7 +1351,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     jr.add_argument(
         "--checkpoint-every", type=int, default=1, metavar="K",
-        help="flush durable state every K completed tiles",
+        help="flush an in-memory job's state every K completed tiles "
+             "(a --store job writes its manifest only on a status "
+             "change; the store's chunk bitmap records progress)",
     )
     jr.add_argument(
         "--verify", action="store_true",
@@ -1396,7 +1398,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the recorded backend (cannot change the values)",
     )
     jz.add_argument("--workers", type=_positive_int, default=None)
-    jz.add_argument("--checkpoint-every", type=int, default=1, metavar="K")
+    jz.add_argument("--checkpoint-every", type=int, default=1, metavar="K",
+                    help="as for job run: in-memory jobs only")
     jz.add_argument("--inject-fault", action="append", default=None,
                     metavar="SPEC")
     _add_output_args(jz)

@@ -330,6 +330,7 @@ def apply_kernel_valid_fft(
     produce bit-identical output, so all executor backends agree
     exactly.
     """
+    block_shape = _block_ints(block_shape)
     noise = _check_valid_shapes(kernel, noise, check_dtype(dtype))
     kx, ky = kernel.shape
     # The batched loop on a batch of one, with the kernel's own margins:
@@ -501,6 +502,7 @@ def apply_kernels_valid(
     a batch of one.
     """
     engine = _check_engine(engine)
+    block_shape = _block_ints(block_shape)  # on every engine, spatial too
     n = len(kernels)
     if n == 0:
         return []
@@ -541,6 +543,23 @@ def apply_kernels_valid(
     return _apply_kernels_valid_fft(kernels, noise, mask, (lx, rx, ly, ry),
                                     cache=cache, block_shape=block_shape,
                                     stats=stats)
+
+
+def _block_ints(block_shape) -> Optional[Tuple[int, int]]:
+    """``block_shape`` as two ints (``None`` stays ``None``); anything
+    but exactly two integers (a bool is not one) is a ``ValueError``."""
+    if block_shape is None:
+        return None
+    try:
+        bx, by = block_shape
+    except (TypeError, ValueError):
+        bx = by = None
+    if not all(isinstance(b, (int, np.integer)) and not isinstance(b, bool)
+               for b in (bx, by)):
+        raise ValueError(
+            f"block_shape must be two integers, got {block_shape!r}"
+        )
+    return int(bx), int(by)
 
 
 def _apply_kernels_valid_spatial(
@@ -593,9 +612,8 @@ def _apply_kernels_valid_fft(
     along axis 1 that alone applies the factor ``T(1 / (long double)
     (bx * by))``.  The loop runs the same c2c pass, the c2r pass on the
     ``nx_blk`` kept rows only, and the same factor as one multiply into
-    the output.  ``block_shape`` must be two integers (a bool is not
-    one) no smaller than the footprint; anything else is a
-    ``ValueError`` naming it.
+    the output.  ``block_shape`` (checked by :func:`_block_ints`)
+    must be no smaller than the footprint, else ``ValueError``.
     """
     dt = noise.dtype  # caller coerced; one precision for the whole batch
     lx, rx, ly, ry = margins
@@ -605,21 +623,12 @@ def _apply_kernels_valid_fft(
     ony = noise.shape[1] - ky_eff + 1
     if block_shape is None:
         block_shape = choose_block_shape(noise.shape, (kx_eff, ky_eff))
-    try:
-        bx, by = block_shape
-    except (TypeError, ValueError):
-        bx = by = None
-    if not all(isinstance(b, (int, np.integer)) and not isinstance(b, bool)
-               for b in (bx, by)):
-        raise ValueError(
-            f"block_shape must be two integers, got {block_shape!r}"
-        )
+    bx, by = block_shape
     if bx < kx_eff or by < ky_eff:
         raise ValueError(
             f"block_shape {block_shape} smaller than kernel footprint "
             f"({kx_eff}, {ky_eff})"
         )
-    bx, by = int(bx), int(by)
     cache = cache if cache is not None else plan_cache
     outs: "list[Optional[np.ndarray]]" = [None] * len(kernels)
     plans = []  # (index, plan, row offset, col offset) of live kernels

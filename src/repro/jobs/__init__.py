@@ -18,7 +18,8 @@ Pieces
 :class:`JobCheckpoint`
     The durable ``repro.jobs/v1`` directory format: a JSON manifest
     plus an NPZ of partial heights and the done-tile mask, both written
-    atomically.
+    atomically.  A store-backed job keeps only the manifest, written on
+    status changes; the store's chunk bitmap records its progress.
 :func:`run_tiled` / :func:`run_strips` / :func:`resume` / :func:`status`
     The job API, also exposed as ``repro job run/resume/status`` on the
     command line.

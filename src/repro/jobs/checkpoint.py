@@ -17,10 +17,12 @@ A checkpoint is a directory holding two atomically-written files:
 Store-backed jobs (``store=`` on :func:`repro.jobs.run_tiled` /
 :func:`~repro.jobs.run_strips`) keep **no** ``state.npz``: the heights
 live in the :class:`repro.io.store.SurfaceStore` and the store's
-per-chunk bitmap *is* the done mask — the manifest records the store's
-path under ``"store"`` and progress is read back from the bitmap on
-load.  Because the store writer marks a chunk only after its durable
-write, a resumed store job can never trust data that is not on disk.
+per-chunk bitmap *is* the done mask and the only progress ledger — the
+manifest records the store's path under ``"store"`` and progress is
+read back from the bitmap on load.  The manifest is written only on a
+status change (``running``, then ``failed`` or ``complete``), never per
+tile.  Because the store writer marks a chunk only after its write, a
+resumed store job can never trust data that is not on disk.
 
 Because tile values are pure functions of ``(generator, noise seed,
 tile)``, a checkpoint plus the same generator configuration is
@@ -249,11 +251,8 @@ class JobCheckpoint:
         return [int(i) for i in np.flatnonzero(self.done)]
 
     def mark_done(self, index: int) -> None:
-        if self.store is not None:
-            # The store's writer owns the bitmap and marks a chunk only
-            # after its durable write; the executor's on_tile hook fires
-            # at queue submission, which must not count as done.
-            return
+        """Mark one tile of an in-memory job done.  A store job never
+        calls this: its store's writer marks a chunk after the write."""
         self.done[index] = True
 
     @property
@@ -265,7 +264,10 @@ class JobCheckpoint:
     def write(self, status: Optional[str] = None) -> None:
         """Persist manifest + state atomically (a ``jobs.checkpoint.write``
         span; state first so a crash between the two files leaves a
-        manifest that undercounts, never overcounts, progress)."""
+        manifest that undercounts, never overcounts, progress).  A
+        store job has no state and writes only on a status change, after
+        its store's writer closed, so ``tiles_done`` is the persisted
+        bitmap's count."""
         if status is not None:
             self.manifest["status"] = status
         self.manifest["progress"]["tiles_done"] = int(self.done.sum())

@@ -26,6 +26,7 @@ machinery, and their assembled output equals
 
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
@@ -60,11 +61,12 @@ def _execute(
 ) -> Surface:
     """Run ``plan`` against the checkpoint, persisting progress.
 
-    Completed tiles are marked immediately and the checkpoint is
-    rewritten every ``checkpoint_every`` completions; on *any* failure
-    (including ``KeyboardInterrupt``) the final state is flushed with
-    ``status="failed"`` before the exception propagates, so the run is
-    always resumable.
+    In-memory jobs mark completed tiles immediately and rewrite the
+    checkpoint every ``checkpoint_every`` completions.  Store jobs leave
+    progress to the store's chunk bitmap and write the manifest only on
+    a status change.  On *any* failure (including ``KeyboardInterrupt``)
+    the final state is flushed with ``status="failed"`` before the
+    exception propagates, so the run is always resumable.
     """
     if checkpoint_every < 1:
         raise ValueError("checkpoint_every must be >= 1")
@@ -75,19 +77,20 @@ def _execute(
         )
     policy = retry if retry is not None else (ckpt.retry or RetryPolicy())
     skip = ckpt.done_indices()
-    since_write = 0
+    # A store job's progress ledger is the store's chunk bitmap, which
+    # its writer marks and persists, so per tile there is only the
+    # caller's hook (serve job trackers), fired as the tile is handed to
+    # the writer; the manifest is written only on a status change.
+    record_tile = on_tile
+    if ckpt.store is None:
+        completions = itertools.count(1)
 
-    def record_tile(index: int, tile) -> None:
-        nonlocal since_write
-        ckpt.mark_done(index)
-        since_write += 1
-        if since_write >= checkpoint_every:
-            ckpt.write()
-            since_write = 0
-        if on_tile is not None:
-            # caller's progress hook (serve job trackers); fires after
-            # the tile is durably recorded, in the parent process
-            on_tile(index, tile)
+        def record_tile(index: int, tile) -> None:
+            ckpt.mark_done(index)
+            if next(completions) % checkpoint_every == 0:
+                ckpt.write()
+            if on_tile is not None:
+                on_tile(index, tile)
 
     if obs.enabled():
         obs.add("jobs.resumes" if resumed else "jobs.runs")
@@ -156,13 +159,17 @@ def run_tiled(
     Parameters mirror :func:`repro.parallel.executor.generate_tiled`;
     additionally ``checkpoint`` names a fresh directory for the durable
     state, ``checkpoint_every`` sets how many completed tiles trigger a
-    state flush, and ``rebuild`` optionally records a recipe (spectrum
-    or figure parameters) from which :func:`resume` can reconstruct the
-    generator when the caller cannot pass one.  ``store`` (a
-    :class:`repro.io.store.SurfaceStore` whose chunk grid equals the
-    plan) makes the job out-of-core: heights stream to the store, the
-    checkpoint keeps no ``state.npz``, and resume skips the chunks the
-    store's bitmap has durably recorded.
+    state flush of an in-memory job, and ``rebuild`` optionally records
+    a recipe (spectrum or figure parameters) from which :func:`resume`
+    can reconstruct the generator when the caller cannot pass one.
+    ``store`` (a :class:`repro.io.store.SurfaceStore` whose chunk grid
+    equals the plan) makes the job out-of-core: heights stream to the
+    store, the checkpoint keeps no ``state.npz`` and writes its
+    manifest only on a status change (``checkpoint_every`` does not
+    apply), and resume skips the chunks the store's persisted bitmap
+    records.  ``on_tile(index, tile)`` fires in the parent after each
+    tile: for an in-memory job once the tile is marked, for a store job
+    once it is handed to the store's writer.
     """
     policy = retry if retry is not None else RetryPolicy()
     ckpt = JobCheckpoint.create(

@@ -629,6 +629,17 @@ class TestBlockShapeValidation:
         for err in (single, batch):
             assert repr(block) in str(err.value)
 
+    @pytest.mark.parametrize("engine", ["spatial", "auto"])
+    def test_rejected_before_engine_dispatch(self, engine):
+        # a 3x3 footprint (<= 49 samples) sends "auto" to the spatial
+        # engine, which has no blocks but must still refuse a bad shape
+        kern = Kernel(values=np.ones((3, 3)), cx=1, cy=1, dx=1.0, dy=1.0)
+        noise = np.zeros((40, 40))
+        with pytest.raises(ValueError, match="block_shape") as err:
+            apply_kernels_valid([kern], noise, engine=engine,
+                                block_shape=(40.9, 40))
+        assert "(40.9, 40)" in str(err.value)
+
     def test_numpy_integers_accepted(self):
         kern = Kernel(values=np.ones((3, 3)), cx=1, cy=1, dx=1.0, dy=1.0)
         noise = standard_normal_field((40, 40), seed=28)

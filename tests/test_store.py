@@ -10,6 +10,7 @@ the paper's "arbitrarily large surface" claim made operational.
 
 import json
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -460,6 +461,45 @@ class TestDifferential:
         assert store.done.all()
 
 
+class TestStoreJobManifest:
+    """A store job's progress ledger is the store's chunk bitmap, so its
+    job manifest is written only on a status change: ``running`` on
+    create, then ``failed`` or ``complete``."""
+
+    @pytest.mark.parametrize("tile", [TILE, 32])  # 4 and 9 tiles
+    def test_completed_job_writes_manifest_twice(self, tmp_path, gen,
+                                                 noise, tile):
+        plan = TilePlan(total_nx=N, total_ny=N, tile_nx=tile, tile_ny=tile)
+        store = _make_store(tmp_path / "store", plan)
+        with obs.recording() as rec:
+            run_tiled(gen, noise, plan, checkpoint=tmp_path / "ck",
+                      retry=FAST, store=store)
+        assert rec.metrics.counter("jobs.checkpoint_writes") == 2
+        assert status(tmp_path / "ck")["status"] == "complete"
+        manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
+        assert manifest["progress"]["tiles_done"] == len(plan)
+
+    def test_failed_job_manifest_never_overcounts(self, tmp_path, gen,
+                                                  noise, plan):
+        store = _make_store(tmp_path / "store", plan)
+        fp = FaultPlan.parse(
+            [f"tile=2,attempt={a},kind=raise" for a in (1, 2)]
+        )
+        with obs.recording() as rec:
+            with pytest.raises(TileFailedError):
+                run_tiled(gen, noise, plan, checkpoint=tmp_path / "ck",
+                          retry=RetryPolicy(max_attempts=2,
+                                            backoff_base=0.0),
+                          fault_plan=fp, store=store)
+        assert rec.metrics.counter("jobs.checkpoint_writes") == 2
+        manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        persisted = SurfaceStore.open(tmp_path / "store", mode="r").done
+        assert manifest["progress"]["tiles_done"] == int(persisted.sum())
+        assert persisted.any()  # tiles 0 and 1 finished before the fault
+        store.close()
+
+
 # ---------------------------------------------------------------------------
 # Crash injection through the store
 # ---------------------------------------------------------------------------
@@ -513,6 +553,88 @@ class TestStoreFaults:
                             fault_plan=fp, store=store)
         np.testing.assert_array_equal(np.asarray(surface.heights), reference)
         assert store.done.all()
+
+    def test_sigkill_mid_job_then_resume(self, tmp_path, gen, noise):
+        """SIGKILL the whole process in the middle of a serial store job:
+        no manifest write, no writer close.  Resume finishes from the
+        persisted bitmap alone, bit-identical to an uninterrupted run,
+        without rewriting any chunk that bitmap holds."""
+        plan = TilePlan(total_nx=N, total_ny=N, tile_nx=24, tile_ny=24)
+        reference = generate_tiled(gen, noise, plan,
+                                   backend="serial").heights
+        script = textwrap.dedent("""
+            import os, signal, sys, time
+            from pathlib import Path
+            import numpy as np
+            from repro.core.convolution import ConvolutionGenerator
+            from repro.core.grid import Grid2D
+            from repro.core.rng import BlockNoise
+            from repro.core.spectra import GaussianSpectrum
+            from repro.io.store import BITMAP_NAME, SurfaceStore
+            from repro.jobs import FaultPlan, FaultSpec, RetryPolicy, run_tiled
+            from repro.parallel import TilePlan
+
+            N, TILE, KILL_AFTER = 96, 24, 5
+            store_dir, ck_dir = sys.argv[1], sys.argv[2]
+            gen = ConvolutionGenerator(
+                GaussianSpectrum(h=1.0, clx=10.0, cly=10.0),
+                Grid2D(nx=N, ny=N, lx=float(N), ly=float(N)),
+            )
+            plan = TilePlan(total_nx=N, total_ny=N,
+                            tile_nx=TILE, tile_ny=TILE)
+            store = SurfaceStore.create(store_dir, shape=(N, N),
+                                        chunk=(TILE, TILE))
+            bitmap = Path(store_dir) / BITMAP_NAME
+
+            def on_tile(index, tile):
+                if index != KILL_AFTER:
+                    return
+                # the delayed tile 2 lets the writer's 0.5 s persist
+                # mark chunks; wait (bounded) until it is on disk
+                deadline = time.monotonic() + 10.0
+                while (not np.load(bitmap).any()
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+                os.kill(os.getpid(), signal.SIGKILL)
+
+            run_tiled(gen, BlockNoise(seed=11), plan, checkpoint=ck_dir,
+                      retry=RetryPolicy(backoff_base=0.0),
+                      fault_plan=FaultPlan.of(FaultSpec(
+                          tile=2, attempt=1, kind="delay", delay_s=0.6)),
+                      store=store, on_tile=on_tile)
+            print("NOT KILLED")
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "store"),
+             str(tmp_path / "ck")],
+            capture_output=True, text=True, timeout=120,
+            env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent
+                                   / "src")},
+        )
+        assert proc.returncode == -signal.SIGKILL, proc.stdout + proc.stderr
+        assert status(tmp_path / "ck")["status"] == "running"
+        done_before = set(
+            SurfaceStore.open(tmp_path / "store", mode="r").done_indices()
+        )
+        assert done_before and len(done_before) < len(plan)
+        written = []
+        orig = SurfaceStore.write_window
+
+        def spy(self, x0, y0, values, *, mark=True):
+            written.append((x0, y0))
+            return orig(self, x0, y0, values, mark=mark)
+
+        SurfaceStore.write_window = spy
+        try:
+            surface = resume(tmp_path / "ck", gen, retry=FAST)
+        finally:
+            SurfaceStore.write_window = orig
+        np.testing.assert_array_equal(np.asarray(surface.heights), reference)
+        tiles = plan.tiles()
+        durable = {(tiles[i].x0, tiles[i].y0) for i in done_before}
+        assert durable.isdisjoint(written), "durable chunks were rewritten"
+        assert len(written) == len(tiles) - len(done_before)
+        assert status(tmp_path / "ck")["status"] == "complete"
 
 
 # ---------------------------------------------------------------------------
