@@ -39,7 +39,10 @@ Subcommands
 
 The ``generate``, ``figure`` and ``job run`` subcommands share one
 execution-options flag group (``--engine/--tile/--backend/--workers/
---inject-fault``), documented once in ``docs/API.md``.
+--inject-fault``), documented once in ``docs/API.md``.  Each of them,
+and ``dist coordinator``, turns its flags into the ``GenerationSpec``
+that ``--dump-spec`` prints and runs that document, exactly as
+``--spec FILE`` would.
 
 Examples
 --------
@@ -58,6 +61,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -67,9 +71,8 @@ import numpy as np
 
 from . import obs
 from ._version import __version__
-from .core.convolution import ENGINES, ConvolutionGenerator
+from .core.convolution import ENGINES
 from .core.grid import Grid2D
-from .core.rng import BlockNoise
 from .core.spectra import (
     ExponentialSpectrum,
     GaussianSpectrum,
@@ -222,34 +225,6 @@ def _fault_plan_from_args(args: argparse.Namespace):
         raise SystemExit(f"--inject-fault: {exc}")
 
 
-def _resilience_kwargs(args: argparse.Namespace) -> dict:
-    """Executor retry/fault kwargs for the generate/figure tiled paths."""
-    fault_plan = _fault_plan_from_args(args)
-    if fault_plan is None:
-        return {}
-    if args.tile is None:
-        raise SystemExit("--inject-fault requires --tile")
-    from .jobs import RetryPolicy
-
-    return {"retry": RetryPolicy(), "fault_plan": fault_plan}
-
-
-def _store_from_args(args: argparse.Namespace, grid,
-                     chunk: tuple, meta: dict):
-    """Create the ``--store`` target, or ``None`` when the flag is unset."""
-    if not getattr(args, "store", None):
-        return None
-    from .io.store import SurfaceStore
-
-    try:
-        return SurfaceStore.create(
-            args.store, shape=grid.shape, chunk=chunk,
-            dx=grid.dx, dy=grid.dy, meta=meta,
-        )
-    except (FileExistsError, ValueError) as exc:
-        raise SystemExit(f"--store: {exc}")
-
-
 def _load_spec(path: str):
     """Read a ``repro.spec/v1`` document for ``--spec`` flags."""
     from .core.spec import GenerationSpec, SpecError
@@ -262,41 +237,77 @@ def _load_spec(path: str):
         raise SystemExit(f"--spec: {exc}")
 
 
-def _spec_from_args(args: argparse.Namespace, rebuild: dict):
-    """The :class:`GenerationSpec` equivalent of a flag-built command.
-
-    This is what ``--dump-spec`` prints: one JSON document that
-    reproduces the exact same surface through ``generate --spec``,
-    ``job run --spec``, the dist backend, or a served POST.
-    """
-    from .core.spec import GenerationSpec
-
-    plan = None
-    if getattr(args, "tile", None):
-        plan = {"total_nx": args.n, "total_ny": args.n,
-                "tile_nx": args.tile, "tile_ny": args.tile,
-                "origin_x": 0, "origin_y": 0}
-    store = getattr(args, "store", None)
-    fault_plan = _fault_plan_from_args(args)
-    return GenerationSpec(
-        generator=rebuild,
-        seed=args.seed,
-        plan=plan,
-        store_path=str(Path(store).resolve()) if store else None,
-        faults=fault_plan.to_dicts() if fault_plan is not None else [],
-    )
-
-
-def _generate_rebuild(args: argparse.Namespace, spectrum: Spectrum) -> dict:
+def _recipe_from_args(args: argparse.Namespace,
+                      figure: Optional[str] = None) -> dict:
+    """The generator recipe a flag-built command describes: the paper
+    figure ``figure``'s layout, or else a homogeneous convolution over
+    the spectrum flags."""
+    if figure is not None:
+        return {"kind": "figure", "name": figure, "n": args.n,
+                "domain": args.domain, "truncation": 0.999,
+                "engine": args.engine, "dtype": args.dtype}
     return {
         "kind": "convolution",
-        "spectrum": spectrum.to_dict(),
+        "spectrum": _spectrum_from_args(args).to_dict(),
         "grid": {"nx": args.n, "ny": args.n,
                  "lx": args.domain, "ly": args.domain},
         "truncation": args.truncation,
         "engine": args.engine,
         "dtype": args.dtype,
     }
+
+
+def _spec_from_args(args: argparse.Namespace, recipe: dict):
+    """The :class:`GenerationSpec` equivalent of a flag-built command.
+
+    This is what ``--dump-spec`` prints and what the command then runs:
+    one JSON document that reproduces the exact same surface through
+    ``generate --spec``, ``job run --spec``, the dist backend, or a
+    served POST.  ``--tile`` plans square tiles; ``--mode strips``
+    plans full-height strips ``--tile`` samples wide
+    (:func:`repro.parallel.tiles.strip_plan`).
+    """
+    from .core.spec import GenerationSpec, SpecError
+
+    plan = None
+    if args.tile is not None:
+        strips = getattr(args, "mode", "tiled") == "strips"
+        plan = {"total_nx": args.n, "total_ny": args.n,
+                "tile_nx": args.tile,
+                "tile_ny": args.n if strips else args.tile,
+                "origin_x": 0, "origin_y": 0}
+    fault_plan = _fault_plan_from_args(args)
+    if fault_plan is not None and plan is None:
+        raise SystemExit("--inject-fault requires --tile")
+    store = getattr(args, "store", None)
+    try:
+        return GenerationSpec(
+            generator=recipe,
+            seed=args.seed,
+            plan=plan,
+            store_path=str(Path(store).resolve()) if store else None,
+            faults=fault_plan.to_dicts() if fault_plan is not None else [],
+        )
+    except SpecError as exc:
+        raise SystemExit(str(exc))
+
+
+def _command_spec(args: argparse.Namespace, figure: Optional[str] = None):
+    """The spec ``generate``/``job run`` executes: the ``--spec``
+    document (``--store`` and ``--inject-fault`` win over its own), or
+    else the ``--dump-spec`` document of the command's flags."""
+    if args.spec and args.dump_spec:
+        raise SystemExit("--spec and --dump-spec are mutually exclusive")
+    if not args.spec:
+        return _spec_from_args(args, _recipe_from_args(args, figure))
+    spec = _load_spec(args.spec)
+    if args.store:
+        spec = dataclasses.replace(
+            spec, store_path=str(Path(args.store).resolve()))
+    fault_plan = _fault_plan_from_args(args)
+    if fault_plan is not None:
+        spec = dataclasses.replace(spec, faults=fault_plan.to_dicts())
+    return spec
 
 
 def _emit_surface(surface: Surface, args: argparse.Namespace) -> None:
@@ -328,54 +339,70 @@ def _emit_surface(surface: Surface, args: argparse.Namespace) -> None:
         print(ascii_preview(surface))
 
 
-def _generate_from_spec(args: argparse.Namespace) -> int:
-    """``generate --spec FILE``: the spec document drives everything.
+def _generate_from_spec(args: argparse.Namespace, spec) -> int:
+    """Run ``spec`` for ``generate`` and ``figure --tile``.
 
-    Spectrum/grid/seed flags are ignored; only execution knobs
-    (``--backend/--workers``) and output flags apply.  The heights are
-    bit-identical to every other consumer of the same document.
+    Without a plan this is the one-shot periodic path; with one, the
+    tiled path over the unbounded noise plane, into the spec's store
+    when it names one.  Only ``--backend/--workers/--heartbeat/
+    --status-port`` and the output flags act beside the spec, and they
+    cannot change the heights.
     """
-    spec = _load_spec(args.spec)
+    telemetry = {}
+    if getattr(args, "heartbeat", None) is not None:
+        telemetry["heartbeat_s"] = args.heartbeat
+    if getattr(args, "status_port", None) is not None:
+        telemetry["status_port"] = args.status_port
+    if telemetry and args.backend != "dist":
+        raise SystemExit(
+            "--heartbeat/--status-port require --backend dist "
+            "(single-host backends have no coordinator to serve them)"
+        )
+    if args.backend == "dist" and not (spec.plan and spec.store_path):
+        raise SystemExit(
+            "--backend dist requires --tile and --store: the store's "
+            "chunk bitmap is the distributed completion ledger"
+        )
+    if spec.plan is None and (spec.store_path or spec.faults):
+        raise SystemExit("--store and --inject-fault require --tile")
     gen = spec.build_generator()
+    recipe = spec.generator
+    provenance = {"seed": spec.seed, "spec": spec.to_dict()}
+    if "spectrum" in recipe:
+        provenance["spectrum"] = recipe["spectrum"]
+    if recipe["kind"] == "figure":
+        provenance["figure"] = recipe["name"]
     if spec.plan is None:
-        if args.backend == "dist":
-            raise SystemExit("--backend dist requires a spec with a plan "
-                             "and a store_path")
-        heights = gen.generate(seed=spec.seed)
         surface = Surface(
-            heights=np.asarray(heights), grid=gen.grid,
-            provenance={"method": spec.generator.get("kind"),
-                        "spec": spec.to_dict(), "seed": spec.seed},
+            heights=np.asarray(gen.generate(seed=spec.seed)), grid=gen.grid,
+            provenance={"method": recipe["kind"],
+                        "engine": recipe.get("engine", "auto"),
+                        "dtype": recipe.get("dtype", "float64"),
+                        **provenance},
         )
         _emit_surface(surface, args)
         return 0
     from .parallel.executor import generate_tiled
 
-    plan = spec.tile_plan()
     store = None
     if spec.store_path:
-        from .io.store import SurfaceStore
-
         try:
-            store = SurfaceStore.create(
-                spec.store_path,
-                shape=(plan.total_nx, plan.total_ny),
-                chunk=(plan.tile_nx, plan.tile_ny),
-                dx=gen.grid.dx, dy=gen.grid.dy,
-                meta={"seed": spec.seed},
-            )
+            store = spec.create_store()
         except (FileExistsError, ValueError) as exc:
-            raise SystemExit(f"spec store_path: {exc}")
-    if args.backend == "dist" and store is None:
-        raise SystemExit("--backend dist requires the spec to carry a "
-                         "store_path (the bitmap is the completion ledger)")
+            raise SystemExit(f"--store: {exc}")
+    resilience = {}
+    if spec.faults:
+        from .jobs import FaultPlan, RetryPolicy
+
+        resilience = {"retry": RetryPolicy(),
+                      "fault_plan": FaultPlan.from_dicts(spec.faults)}
     surface = generate_tiled(
-        gen, spec.noise(), plan,
+        gen, spec.noise(), spec.tile_plan(),
         backend=args.backend, workers=args.workers,
-        out=store, rebuild=spec.generator,
+        out=store, rebuild=recipe, telemetry=telemetry or None,
+        **resilience,
     )
-    surface.provenance["spec"] = spec.to_dict()
-    surface.provenance["seed"] = spec.seed
+    surface.provenance.update(provenance)
     _emit_surface(surface, args)
     if store is not None:
         store.close()
@@ -384,88 +411,11 @@ def _generate_from_spec(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    if args.spec and args.dump_spec:
-        raise SystemExit("--spec and --dump-spec are mutually exclusive")
-    if args.spec:
-        return _generate_from_spec(args)
-    grid = Grid2D(nx=args.n, ny=args.n, lx=args.domain, ly=args.domain)
-    spectrum = _spectrum_from_args(args)
+    spec = _command_spec(args)
     if args.dump_spec:
-        print(_spec_from_args(args, _generate_rebuild(args, spectrum))
-              .to_json(indent=2))
+        print(spec.to_json(indent=2))
         return 0
-    gen = ConvolutionGenerator(
-        spectrum, grid, truncation=args.truncation, engine=args.engine,
-        dtype=args.dtype,
-    )
-    resilience = _resilience_kwargs(args)
-    if args.tile is not None:
-        # Tiled windowed generation over the unbounded noise plane
-        # (non-periodic, unlike the one-shot path below); backends are
-        # bit-identical for a fixed tile size.
-        from .parallel.executor import generate_tiled
-        from .parallel.tiles import TilePlan
-
-        if args.tile <= 0:
-            raise SystemExit("--tile must be positive")
-        plan = TilePlan(total_nx=args.n, total_ny=args.n,
-                        tile_nx=args.tile, tile_ny=args.tile)
-        store = _store_from_args(args, grid,
-                                 chunk=(args.tile, args.tile),
-                                 meta={"spectrum": spectrum.to_dict(),
-                                       "seed": args.seed})
-        if args.backend == "dist" and store is None:
-            raise SystemExit(
-                "--backend dist requires --store: the store's chunk "
-                "bitmap is the distributed completion ledger"
-            )
-        telemetry = {}
-        if args.heartbeat is not None:
-            telemetry["heartbeat_s"] = args.heartbeat
-        if args.status_port is not None:
-            telemetry["status_port"] = args.status_port
-        if telemetry and args.backend != "dist":
-            raise SystemExit(
-                "--heartbeat/--status-port require --backend dist "
-                "(single-host backends have no coordinator to serve them)"
-            )
-        rebuild = _generate_rebuild(args, spectrum)
-        surface = generate_tiled(
-            gen, BlockNoise(seed=args.seed), plan,
-            backend=args.backend, workers=args.workers,
-            out=store, rebuild=rebuild,
-            telemetry=telemetry or None,
-            **resilience,
-        )
-        surface.provenance["spectrum"] = spectrum.to_dict()
-        surface.provenance["seed"] = args.seed
-        _emit_surface(surface, args)
-        if store is not None:
-            store.close()
-            print(f"wrote store {store.path}")
-        return 0
-    if getattr(args, "store", None):
-        raise SystemExit("--store requires --tile")
-    if args.backend == "dist":
-        raise SystemExit("--backend dist requires --tile and --store")
-    if args.heartbeat is not None or args.status_port is not None:
-        raise SystemExit(
-            "--heartbeat/--status-port require --tile with --backend dist"
-        )
-    heights = gen.generate(seed=args.seed)
-    surface = Surface(
-        heights=np.asarray(heights),
-        grid=grid,
-        provenance={
-            "method": "convolution",
-            "spectrum": spectrum.to_dict(),
-            "seed": args.seed,
-            "engine": args.engine,
-            "dtype": args.dtype,
-        },
-    )
-    _emit_surface(surface, args)
-    return 0
+    return _generate_from_spec(args, spec)
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
@@ -475,73 +425,15 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             "target); use `job run --figure ... --store ... --backend "
             "dist` instead"
         )
-    resilience = _resilience_kwargs(args)
-    if args.tile is not None:
-        # Tiled multi-region generation: the figure layout drives the
-        # inhomogeneous generator window-by-window over the unbounded
-        # noise plane (non-periodic, unlike the one-shot path below).
-        from .core.inhomogeneous import InhomogeneousGenerator
-        from .figures import default_grid, figure_layout
-        from .parallel.executor import generate_tiled
-        from .parallel.tiles import TilePlan
-
-        if args.tile <= 0:
-            raise SystemExit("--tile must be positive")
-        grid = default_grid(args.n, args.domain)
-        layout = figure_layout(args.name, args.domain)
-        gen = InhomogeneousGenerator(layout, grid, truncation=0.999,
-                                     engine=args.engine, dtype=args.dtype)
-        plan = TilePlan(total_nx=args.n, total_ny=args.n,
-                        tile_nx=args.tile, tile_ny=args.tile)
-        surface = generate_tiled(
-            gen, BlockNoise(seed=args.seed), plan,
-            backend=args.backend, workers=args.workers,
-            **resilience,
-        )
-        surface.provenance["figure"] = args.name
-        surface.provenance["seed"] = args.seed
-        _emit_surface(surface, args)
-        return 0
+    spec = _spec_from_args(args, _recipe_from_args(args, args.name))
+    if spec.plan is not None:
+        return _generate_from_spec(args, spec)
     surface = figure_surface(
         args.name, n=args.n, domain=args.domain, seed=args.seed,
         engine=args.engine, dtype=args.dtype,
     )
     _emit_surface(surface, args)
     return 0
-
-
-def _job_generator_and_rebuild(args: argparse.Namespace):
-    """Build ``job run``'s generator plus the manifest ``rebuild`` recipe
-    from which ``job resume`` can reconstruct it without re-specifying
-    spectrum/figure parameters."""
-    if args.figure is not None:
-        from .core.inhomogeneous import InhomogeneousGenerator
-        from .figures import default_grid, figure_layout
-
-        grid = default_grid(args.n, args.domain)
-        layout = figure_layout(args.figure, args.domain)
-        gen = InhomogeneousGenerator(layout, grid, truncation=0.999,
-                                     engine=args.engine, dtype=args.dtype)
-        rebuild = {"kind": "figure", "name": args.figure, "n": args.n,
-                   "domain": args.domain, "truncation": 0.999,
-                   "engine": args.engine, "dtype": args.dtype}
-        return gen, rebuild
-    grid = Grid2D(nx=args.n, ny=args.n, lx=args.domain, ly=args.domain)
-    spectrum = _spectrum_from_args(args)
-    gen = ConvolutionGenerator(
-        spectrum, grid, truncation=args.truncation, engine=args.engine,
-        dtype=args.dtype,
-    )
-    rebuild = {
-        "kind": "convolution",
-        "spectrum": spectrum.to_dict(),
-        "grid": {"nx": args.n, "ny": args.n,
-                 "lx": args.domain, "ly": args.domain},
-        "truncation": args.truncation,
-        "engine": args.engine,
-        "dtype": args.dtype,
-    }
-    return gen, rebuild
 
 
 def _retry_policy_from_args(args: argparse.Namespace):
@@ -564,47 +456,6 @@ def _job_failed(exc: Exception, checkpoint: str) -> "SystemExit":
         f"job failed: {exc}\ncheckpoint preserved at {checkpoint}; "
         f"finish it with: repro-rrs job resume {checkpoint}"
     )
-
-
-def _job_run_from_spec(args: argparse.Namespace) -> int:
-    """``job run --spec FILE``: checkpointed execution of one document."""
-    import dataclasses
-
-    from .core.spec import SpecError
-    from .jobs import (FailureBudgetExceeded, PoolRespawnLimit,
-                       TileFailedError, run_spec)
-
-    if args.mode != "tiled":
-        raise SystemExit("--spec only supports tiled mode (the plan in "
-                         "the document is a tile plan)")
-    spec = _load_spec(args.spec)
-    if getattr(args, "store", None):
-        # the CLI flag wins over the document's store_path
-        spec = dataclasses.replace(
-            spec, store_path=str(Path(args.store).resolve())
-        )
-    try:
-        surface = run_spec(
-            spec,
-            checkpoint=args.checkpoint,
-            backend=args.backend,
-            workers=args.workers,
-            retry=_retry_policy_from_args(args),
-            fault_plan=_fault_plan_from_args(args),
-            checkpoint_every=args.checkpoint_every,
-            verify=getattr(args, "verify", False),
-        )
-    except SpecError as exc:
-        raise SystemExit(f"--spec: {exc}")
-    except FileExistsError as exc:
-        raise SystemExit(str(exc))
-    except (TileFailedError, FailureBudgetExceeded, PoolRespawnLimit) as exc:
-        raise _job_failed(exc, args.checkpoint)
-    surface.provenance["seed"] = spec.seed
-    _emit_surface(surface, args)
-    if getattr(args, "verify", False):
-        return _print_verify_outcome(surface.provenance.get("verify"))
-    return 0
 
 
 def _print_verify_outcome(doc) -> int:
@@ -630,82 +481,49 @@ def _print_verify_report(report) -> None:
 
 
 def _cmd_job_run(args: argparse.Namespace) -> int:
+    from .core.spec import SpecError
     from .jobs import (FailureBudgetExceeded, PoolRespawnLimit,
-                       TileFailedError, run_strips, run_tiled)
+                       TileFailedError, run_spec)
 
-    if args.spec and args.dump_spec:
-        raise SystemExit("--spec and --dump-spec are mutually exclusive")
-    if args.dump_spec:
-        _gen, rebuild = _job_generator_and_rebuild(args)
-        print(_spec_from_args(args, rebuild).to_json(indent=2))
-        return 0
-    if args.spec:
-        return _job_run_from_spec(args)
-    if args.tile is None or args.tile <= 0:
+    if args.spec and args.mode != "tiled":
+        raise SystemExit("--spec only supports tiled mode (the plan in "
+                         "the document is a tile plan)")
+    if not args.spec and args.tile is None:
         raise SystemExit(
             "job run requires a positive --tile (tile edge for tiled "
             "mode, strip width for strips mode)"
         )
-    gen, rebuild = _job_generator_and_rebuild(args)
-    noise = BlockNoise(seed=args.seed)
-    # strips mode schedules one full-width chunk per strip, so the
-    # store bitmap indexes strips exactly like the tiled bitmap
-    # indexes tiles
-    store_meta = {"seed": args.seed}
-    if isinstance(rebuild, dict) and isinstance(rebuild.get("spectrum"), dict):
-        store_meta["spectrum"] = rebuild["spectrum"]
-    store = _store_from_args(
-        args, gen.grid,
-        chunk=((args.tile, args.n) if args.mode == "strips"
-               else (args.tile, args.tile)),
-        meta=store_meta,
-    )
-    common = dict(
-        checkpoint=args.checkpoint,
-        backend=args.backend,
-        workers=args.workers,
-        retry=_retry_policy_from_args(args),
-        fault_plan=_fault_plan_from_args(args),
-        checkpoint_every=args.checkpoint_every,
-        rebuild=rebuild,
-        store=store,
-    )
+    spec = _command_spec(args, args.figure)
+    if args.dump_spec:
+        print(spec.to_json(indent=2))
+        return 0
+    retry = _retry_policy_from_args(args)
+    store = None
     try:
-        if args.mode == "strips":
-            surface = run_strips(gen, noise, args.n, args.n, args.tile,
-                                 **common)
-        else:
-            from .parallel.tiles import TilePlan
-
-            plan = TilePlan(total_nx=args.n, total_ny=args.n,
-                            tile_nx=args.tile, tile_ny=args.tile)
-            surface = run_tiled(gen, noise, plan, **common)
+        if spec.store_path:
+            store = spec.create_store()
+        surface = run_spec(
+            spec,
+            checkpoint=args.checkpoint,
+            backend=args.backend,
+            workers=args.workers,
+            retry=retry,
+            checkpoint_every=args.checkpoint_every,
+            store=store,
+            verify=args.verify,
+        )
+    except SpecError as exc:
+        raise SystemExit(f"--spec: {exc}")
     except FileExistsError as exc:
         raise SystemExit(str(exc))
     except (TileFailedError, FailureBudgetExceeded, PoolRespawnLimit) as exc:
         if store is not None:
             store.close()  # persist what the writer durably completed
         raise _job_failed(exc, args.checkpoint)
-    surface.provenance["seed"] = args.seed
+    surface.provenance["seed"] = spec.seed
     _emit_surface(surface, args)
-    rc = 0
-    if getattr(args, "verify", False):
-        from .core.spectra import spectrum_from_dict
-        from .verify import (REPORT_NAME, verify_heights, verify_store,
-                             write_report)
-
-        spectrum = None
-        if isinstance(rebuild, dict) and isinstance(
-                rebuild.get("spectrum"), dict):
-            spectrum = spectrum_from_dict(rebuild["spectrum"])
-        if store is not None:
-            report = verify_store(store, spectrum)
-        else:
-            report = verify_heights(surface.heights, spectrum,
-                                    dx=gen.grid.dx, dy=gen.grid.dy)
-        write_report(report, Path(args.checkpoint) / REPORT_NAME)
-        _print_verify_report(report)
-        rc = 0 if report.passed else 1
+    rc = (_print_verify_outcome(surface.provenance.get("verify"))
+          if args.verify else 0)
     if store is not None:
         store.close()
         print(f"wrote store {store.path}")
@@ -751,41 +569,25 @@ def _cmd_dist_coordinator(args: argparse.Namespace) -> int:
     run completes and prints the run summary as JSON.  Re-running on an
     existing store resumes off its bitmap.
     """
-    from .core.spec import GenerationSpec
     from .dist import Coordinator
     from .io.store import SurfaceStore
     from .jobs import (FailureBudgetExceeded, PoolRespawnLimit,
                        TileFailedError)
-    from .parallel.tiles import TilePlan
 
-    _gen, rebuild = _job_generator_and_rebuild(args)
-    plan = TilePlan(total_nx=args.n, total_ny=args.n,
-                    tile_nx=args.tile, tile_ny=args.tile)
-    store_path = Path(args.store)
-    if (store_path / "manifest.json").exists():
-        store = SurfaceStore.open(store_path, "r+")  # resume off the bitmap
+    spec = dataclasses.replace(
+        _spec_from_args(args, _recipe_from_args(args, args.figure)),
+        access="shared", obs=obs.enabled(),
+    )
+    plan = spec.tile_plan()
+    if (Path(spec.store_path) / "manifest.json").exists():
+        # resume off the bitmap
+        store = SurfaceStore.open(spec.store_path, "r+")
         try:
             store.validate_plan(plan)
         except ValueError as exc:
             raise SystemExit(f"--store: {exc}")
     else:
-        grid = Grid2D(nx=args.n, ny=args.n, lx=args.domain, ly=args.domain)
-        store = SurfaceStore.create(
-            store_path, shape=(args.n, args.n), chunk=(args.tile, args.tile),
-            dx=grid.dx, dy=grid.dy, meta={"seed": args.seed},
-        )
-    fault_plan = _fault_plan_from_args(args)
-    spec = GenerationSpec(
-        generator=rebuild,
-        seed=args.seed,
-        plan={"total_nx": args.n, "total_ny": args.n,
-              "tile_nx": args.tile, "tile_ny": args.tile,
-              "origin_x": 0, "origin_y": 0},
-        store_path=str(store_path.resolve()),
-        access="shared",
-        obs=obs.enabled(),
-        faults=fault_plan.to_dicts() if fault_plan is not None else [],
-    )
+        store = spec.create_store()
     coordinator = Coordinator(
         spec, plan, store,
         policy=_retry_policy_from_args(args),
@@ -1297,8 +1099,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument(
         "--spec", default=None, metavar="FILE",
         help="run a repro.spec/v1 GenerationSpec JSON document; "
-             "spectrum/grid/seed flags are ignored (only "
-             "--backend/--workers and output flags apply)",
+             "spectrum/grid/seed/--tile flags are ignored (--store and "
+             "--inject-fault override the document's)",
     )
     g.add_argument(
         "--dump-spec", action="store_true",
@@ -1377,7 +1179,8 @@ def build_parser() -> argparse.ArgumentParser:
     jr.add_argument(
         "--spec", default=None, metavar="FILE",
         help="run a repro.spec/v1 GenerationSpec JSON document (must "
-             "carry a plan); spectrum/grid/seed flags are ignored",
+             "carry a plan); spectrum/grid/seed/--tile flags are ignored "
+             "(--store and --inject-fault override the document's)",
     )
     jr.add_argument(
         "--dump-spec", action="store_true",

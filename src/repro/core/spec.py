@@ -192,6 +192,41 @@ class GenerationSpec:
         grid = self.generator["grid"]
         return (int(grid["nx"]), int(grid["ny"]))
 
+    @property
+    def grid(self):
+        """The recipe's :class:`~repro.core.grid.Grid2D`, read straight
+        off the recipe (no kernel is built)."""
+        from .grid import Grid2D
+
+        if self.generator["kind"] == "figure":
+            from ..figures import default_grid
+
+            return default_grid(self.generator["n"], self.generator["domain"])
+        g = self.generator["grid"]
+        return Grid2D(nx=g["nx"], ny=g["ny"], lx=g["lx"], ly=g["ly"])
+
+    def create_store(self, path=None):
+        """Create the :class:`~repro.io.store.SurfaceStore` this spec's
+        run writes: at ``path`` (default ``store_path``), one chunk per
+        tile, the recipe's sample spacing, and the seed plus the
+        spectrum recipe (when there is one) as ``meta`` — what
+        ``repro verify STORE`` gates against."""
+        from ..io.store import SurfaceStore
+
+        _require(self.plan is not None, "plan",
+                 "a store is written tile by tile; give the spec a plan")
+        path = path if path is not None else self.store_path
+        _require(bool(path), "store_path", "no store path given")
+        plan, grid = self.plan, self.grid
+        meta: Dict[str, Any] = {"seed": self.seed}
+        if isinstance(self.generator.get("spectrum"), dict):
+            meta["spectrum"] = self.generator["spectrum"]
+        return SurfaceStore.create(
+            path, shape=(plan["total_nx"], plan["total_ny"]),
+            chunk=(plan["tile_nx"], plan["tile_ny"]),
+            dx=grid.dx, dy=grid.dy, meta=meta,
+        )
+
     def tile_plan(self):
         """The spec's :class:`~repro.parallel.tiles.TilePlan` (or None)."""
         if self.plan is None:

@@ -20,9 +20,9 @@ Pieces
     plus an NPZ of partial heights and the done-tile mask, both written
     atomically.  A store-backed job keeps only the manifest, written on
     status changes; the store's chunk bitmap records its progress.
-:func:`run_tiled` / :func:`run_strips` / :func:`resume` / :func:`status`
+:func:`run_tiled` / :func:`run_spec` / :func:`resume` / :func:`status`
     The job API, also exposed as ``repro job run/resume/status`` on the
-    command line.
+    command line.  A strip job is ``run_tiled`` on :func:`strip_plan`.
 
 Example
 -------
@@ -42,7 +42,7 @@ from ..parallel.tiles import strip_plan
 from .checkpoint import FORMAT_VERSION, JobCheckpoint, generator_fingerprint
 from .faults import FaultPlan, FaultSpec, InjectedFault
 from .retry import RetryPolicy
-from .runner import resume, run_spec, run_strips, run_tiled, status
+from .runner import resume, run_spec, run_tiled, status
 
 __all__ = [
     "RetryPolicy",
@@ -53,7 +53,6 @@ __all__ = [
     "generator_fingerprint",
     "FORMAT_VERSION",
     "run_tiled",
-    "run_strips",
     "run_spec",
     "resume",
     "status",

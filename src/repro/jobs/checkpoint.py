@@ -3,19 +3,21 @@
 A checkpoint is a directory holding two atomically-written files:
 
 ``manifest.json``
-    Everything needed to *re-derive* the run: the tile plan (or strip
-    geometry), the noise plane's seed and block size, backend/workers,
-    the retry policy, a fingerprint of the generator's stable
-    configuration, an optional ``rebuild`` recipe (how the CLI can
-    reconstruct the generator from spectrum/figure parameters),
-    retry/respawn accounting, an observability counter snapshot, and
-    the job status (``running`` / ``failed`` / ``complete``).
+    Everything needed to *re-derive* the run: the tile plan, the noise
+    plane's seed and block size, backend/workers, the retry policy, a
+    fingerprint of the generator's stable configuration, an optional
+    ``rebuild`` recipe (how the CLI can reconstruct the generator from
+    spectrum/figure parameters), retry/respawn accounting, an
+    observability counter snapshot, and the job status (``running`` /
+    ``failed`` / ``complete``).  A ``running`` manifest also names its
+    ``owner`` (host and pid), so :meth:`JobCheckpoint.summary` reports
+    a job whose process is gone as ``stale``.
 ``state.npz``
     The partial ``heights`` array plus the boolean ``done`` mask over
     the plan's row-major tile order.
 
 Store-backed jobs (``store=`` on :func:`repro.jobs.run_tiled` /
-:func:`~repro.jobs.run_strips`) keep **no** ``state.npz``: the heights
+:func:`~repro.jobs.run_spec`) keep **no** ``state.npz``: the heights
 live in the :class:`repro.io.store.SurfaceStore` and the store's
 per-chunk bitmap *is* the done mask and the only progress ledger — the
 manifest records the store's path under ``"store"`` and progress is
@@ -36,6 +38,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import socket
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
@@ -123,7 +127,6 @@ class JobCheckpoint:
         retry: Optional[RetryPolicy],
         generator: Any,
         rebuild: Optional[dict] = None,
-        strips: Optional[dict] = None,
         store: Optional[Any] = None,
     ) -> "JobCheckpoint":
         path = Path(path)
@@ -160,8 +163,6 @@ class JobCheckpoint:
             "obs_counters": None,
             "error": None,
         }
-        if strips is not None:
-            manifest["strips"] = strips
         if store is not None:
             manifest["store"] = {"path": str(Path(store.path).resolve())}
             ckpt = cls(
@@ -270,6 +271,9 @@ class JobCheckpoint:
         bitmap's count."""
         if status is not None:
             self.manifest["status"] = status
+        if self.manifest["status"] == "running":
+            self.manifest["owner"] = {"host": socket.gethostname(),
+                                      "pid": os.getpid()}
         self.manifest["progress"]["tiles_done"] = int(self.done.sum())
         if obs.enabled():
             self.manifest["obs_counters"] = (
@@ -291,11 +295,14 @@ class JobCheckpoint:
         progress = self.manifest["progress"]
         total = progress["tiles_total"]
         done = int(self.done.sum())
+        state = self.manifest["status"]
+        if state == "running" and not _owner_alive(self.manifest.get("owner")):
+            state = "stale"
         return {
             "path": str(self.path),
             "format": self.manifest["format"],
             "kind": self.manifest["kind"],
-            "status": self.manifest["status"],
+            "status": state,
             "tiles_total": total,
             "tiles_done": done,
             "fraction_done": done / total if total else 0.0,
@@ -307,6 +314,20 @@ class JobCheckpoint:
             **({"store": self.manifest["store"]}
                if self.manifest.get("store") else {}),
         }
+
+
+def _owner_alive(owner: Optional[Dict[str, Any]]) -> bool:
+    """False only when ``owner`` ran on this host and its pid is gone
+    (a killed job); a job on another host cannot be checked here."""
+    if not owner or owner.get("host") != socket.gethostname():
+        return True
+    try:
+        os.kill(int(owner["pid"]), 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # alive, but another user's process
+        pass
+    return True
 
 
 def _plan_from_manifest(manifest: Dict[str, Any]) -> TilePlan:

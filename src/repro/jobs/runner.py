@@ -7,7 +7,7 @@ resilient executor (:func:`repro.parallel.executor.generate_tiled` with
 ``retry=``) to the durable :class:`~repro.jobs.checkpoint.JobCheckpoint`
 state:
 
-* :func:`run_tiled` / :func:`run_strips` execute a plan while recording
+* :func:`run_tiled` / :func:`run_spec` execute a plan while recording
   completed tiles; any failure (injected or real) leaves a resumable
   checkpoint behind.
 * :func:`resume` finishes a checkpointed job — skipping completed tiles
@@ -17,11 +17,11 @@ state:
 * :func:`status` summarises a checkpoint without touching the noise
   plane.
 
-Strip jobs run :func:`repro.parallel.tiles.strip_plan` (one tile per
-strip), the plan :func:`repro.parallel.streaming.stream_strips` walks
-too — so strip jobs inherit every backend and the whole retry
-machinery, and their assembled output equals
-``assemble_strips(stream_strips(...))`` bit-for-bit.
+A strip job is a tiled job on :func:`repro.parallel.tiles.strip_plan`
+(one tile per strip), the plan
+:func:`repro.parallel.streaming.stream_strips` walks too — so it
+inherits every backend and the whole retry machinery, and its output
+equals ``assemble_strips(stream_strips(...))`` bit-for-bit.
 """
 
 from __future__ import annotations
@@ -34,12 +34,12 @@ from .. import obs
 from ..core.rng import BlockNoise
 from ..core.surface import Surface
 from ..parallel.executor import generate_tiled
-from ..parallel.tiles import TilePlan, strip_plan
+from ..parallel.tiles import TilePlan
 from .checkpoint import JobCheckpoint, generator_fingerprint
 from .faults import FaultPlan
 from .retry import RetryPolicy
 
-__all__ = ["run_tiled", "run_strips", "run_spec", "resume", "status",
+__all__ = ["run_tiled", "run_spec", "resume", "status",
            "generator_from_rebuild"]
 
 PathLike = Union[str, Path]
@@ -75,6 +75,10 @@ def _execute(
             "backend='dist' requires a store-backed job (store=): the "
             "store's chunk bitmap is the distributed completion ledger"
         )
+    if resumed:
+        # this process owns the job now: a live resume of a killed job
+        # must read as running, not stale (nor failed)
+        ckpt.write(status="running")
     policy = retry if retry is not None else (ckpt.retry or RetryPolicy())
     skip = ckpt.done_indices()
     # A store job's progress ledger is the store's chunk bitmap, which
@@ -185,56 +189,6 @@ def run_tiled(
     )
 
 
-def run_strips(
-    generator: Any,
-    noise: BlockNoise,
-    total_nx: int,
-    width_ny: int,
-    strip_nx: int,
-    x0: int = 0,
-    y0: int = 0,
-    *,
-    checkpoint: PathLike,
-    backend: str = "serial",
-    workers: Optional[int] = None,
-    retry: Optional[RetryPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    checkpoint_every: int = 1,
-    rebuild: Optional[dict] = None,
-    store: Optional[Any] = None,
-    on_tile: Optional[Any] = None,
-) -> Surface:
-    """Checkpointed strip-stream generation.
-
-    Covers the same strips as :func:`~repro.parallel.streaming.
-    stream_strips` (including the clipped final strip) and returns the
-    assembled surface — bit-identical to
-    ``assemble_strips(stream_strips(...))`` — while gaining every
-    resilience feature of the tiled path: retries, worker-crash
-    recovery, degradation, and resumable checkpoints.  ``store`` (one
-    chunk per strip: ``chunk=(strip_nx, width_ny)``) streams the
-    strips to disk instead of RAM, exactly as in :func:`run_tiled`.
-    """
-    policy = retry if retry is not None else RetryPolicy()
-    plan = strip_plan(total_nx, width_ny, strip_nx, x0, y0)
-    ckpt = JobCheckpoint.create(
-        checkpoint, kind="strips", plan=plan, noise=noise,
-        backend=backend, workers=workers, retry=policy,
-        generator=generator, rebuild=rebuild,
-        strips={"total_nx": total_nx, "width_ny": width_ny,
-                "strip_nx": strip_nx, "x0": x0, "y0": y0},
-        store=store,
-    )
-    surface = _execute(
-        ckpt, generator, noise, plan,
-        backend=backend, workers=workers, retry=policy,
-        fault_plan=fault_plan, checkpoint_every=checkpoint_every,
-        resumed=False, on_tile=on_tile,
-    )
-    surface.provenance["strips"] = len(plan)
-    return surface
-
-
 def _rebuild_truncation(rebuild: dict, default: float) -> Any:
     """The recipe's truncation spec, repaired after JSON round-trips.
 
@@ -313,11 +267,12 @@ def run_spec(
     The spec is the single source of truth: generator, noise plane and
     tile plan are all materialised from it, its recipe is recorded as
     the checkpoint's ``rebuild``, and — when ``store`` is not passed
-    explicitly — a ``spec.store_path`` creates the out-of-core
-    :class:`~repro.io.store.SurfaceStore` sink.  Any two calls with an
+    explicitly — a ``spec.store_path`` creates the out-of-core sink
+    through :meth:`~repro.core.spec.GenerationSpec.create_store` (left
+    open: closing fsyncs the whole heights file).  Any two calls with an
     equal spec produce bit-identical heights on every backend; this is
-    the entry point the CLI's ``--spec`` flag and the ``repro.serve``
-    front door share.
+    what ``job run`` (flags or ``--spec``) and the ``repro.serve``
+    front door run.
 
     ``verify=True`` runs the :mod:`repro.verify` streaming pass after
     generation, gating the surface against the spec's spectrum.  The
@@ -332,29 +287,12 @@ def run_spec(
         raise SpecError("plan", "spec-driven jobs are tiled; give the "
                                 "spec a plan (or a 'tile' shorthand)")
     generator = spec.build_generator()
-    noise = spec.noise()
-    plan = spec.tile_plan()
-    spectrum_recipe = None
-    if isinstance(spec.generator, dict):
-        recipe = spec.generator.get("spectrum")
-        if isinstance(recipe, dict):
-            spectrum_recipe = recipe
     if store is None and spec.store_path:
-        from ..io.store import SurfaceStore
-
-        grid = generator.grid
-        meta = {"seed": spec.seed}
-        if spectrum_recipe is not None:
-            meta["spectrum"] = spectrum_recipe
-        store = SurfaceStore.create(
-            spec.store_path, shape=(plan.total_nx, plan.total_ny),
-            chunk=(plan.tile_nx, plan.tile_ny),
-            dx=grid.dx, dy=grid.dy, meta=meta,
-        )
+        store = spec.create_store()
     if fault_plan is None and spec.faults:
         fault_plan = FaultPlan.from_dicts(spec.faults)
     surface = run_tiled(
-        generator, noise, plan,
+        generator, spec.noise(), spec.tile_plan(),
         checkpoint=checkpoint, backend=backend, workers=workers,
         retry=retry, fault_plan=fault_plan,
         checkpoint_every=checkpoint_every,
@@ -366,10 +304,10 @@ def run_spec(
         )
 
         spectrum = None
-        if spectrum_recipe is not None:
+        if isinstance(spec.generator.get("spectrum"), dict):
             from ..core.spectra import spectrum_from_dict
 
-            spectrum = spectrum_from_dict(spectrum_recipe)
+            spectrum = spectrum_from_dict(spec.generator["spectrum"])
         if store is not None:
             report = verify_store(store, spectrum)
         else:
@@ -404,9 +342,6 @@ def resume(
     configuration would silently weld two different surfaces together.
     """
     ckpt = JobCheckpoint.load(path)
-    if ckpt.status == "complete" and not ckpt.done.all():
-        # never trust a manifest over the mask
-        ckpt.manifest["status"] = "running"
     if generator is None:
         generator = generator_from_rebuild(ckpt.manifest.get("rebuild"))
     elif check_generator:

@@ -333,25 +333,13 @@ class SurfaceService:
         store: Optional[SurfaceStore] = None
         try:
             spec = job.spec
-            plan = spec.tile_plan()
-            nx, ny = plan.total_nx, plan.total_ny
             wants_store = (spec.store_path is not None
-                           or nx * ny > self.config.store_threshold_elems)
+                           or spec.plan["total_nx"] * spec.plan["total_ny"]
+                           > self.config.store_threshold_elems)
             if wants_store:
                 store_dir = Path(spec.store_path) if spec.store_path \
                     else job_dir / "store"
-                generator = self._generator_for(spec) \
-                    if spec.generator.get("kind") == "convolution" \
-                    else spec.build_generator()
-                grid = generator.grid
-                store_meta: Dict[str, Any] = {"seed": spec.seed}
-                if isinstance(spec.generator.get("spectrum"), dict):
-                    store_meta["spectrum"] = spec.generator["spectrum"]
-                store = SurfaceStore.create(
-                    store_dir, shape=(nx, ny),
-                    chunk=(plan.tile_nx, plan.tile_ny),
-                    dx=grid.dx, dy=grid.dy, meta=store_meta,
-                )
+                store = spec.create_store(store_dir)
                 with self._lock:
                     job.store_dir = store_dir
 
@@ -631,7 +619,7 @@ class SurfaceService:
         else:
             if job.result is None:
                 raise KeyError(f"job {job.id} has no result to verify")
-            grid = job.spec.build_generator().grid
+            grid = job.spec.grid
             report = verify_heights(np.asarray(job.result), spectrum,
                                     dx=grid.dx, dy=grid.dy)
         doc = report.to_dict()

@@ -8,6 +8,7 @@ execution backends.
 """
 
 import json
+import os
 import threading
 
 import numpy as np
@@ -28,7 +29,6 @@ from repro.jobs import (
     TileFailedError,
     generator_fingerprint,
     resume,
-    run_strips,
     run_tiled,
     status,
     strip_plan,
@@ -266,6 +266,50 @@ class TestCheckpoint:
         with pytest.raises(FileExistsError):
             JobCheckpoint.create(tmp_path / "job", **kwargs)
 
+    def test_running_job_with_dead_owner_is_stale(self, tmp_path, gen,
+                                                  noise, plan):
+        import socket
+        import subprocess
+        import sys
+
+        ckpt = JobCheckpoint.create(
+            tmp_path / "job", kind="tiled", plan=plan, noise=noise,
+            backend="serial", workers=None, retry=None, generator=gen,
+        )
+        owner = ckpt.manifest["owner"]
+        assert owner == {"host": socket.gethostname(), "pid": os.getpid()}
+        assert status(tmp_path / "job")["status"] == "running"
+        # a reaped child's pid is gone
+        dead = subprocess.Popen([sys.executable, "-c", "pass"])
+        dead.wait()
+        manifest_path = tmp_path / "job" / "manifest.json"
+        for host, expected in ((owner["host"], "stale"),
+                               ("another-host", "running")):
+            manifest = json.loads(manifest_path.read_text())
+            manifest["owner"] = {"host": host, "pid": dead.pid}
+            manifest_path.write_text(json.dumps(manifest))
+            assert status(tmp_path / "job")["status"] == expected
+        # only a running manifest can go stale
+        ckpt.write(status="failed")
+        assert status(tmp_path / "job")["status"] == "failed"
+
+    def test_resumed_job_reads_running(self, tmp_path, gen, noise, plan):
+        path = tmp_path / "job"
+        fp = FaultPlan.of(*(FaultSpec(tile=1, attempt=a)
+                            for a in range(1, 4)))
+        with pytest.raises(TileFailedError):
+            run_tiled(gen, noise, plan, checkpoint=path, retry=FAST,
+                      fault_plan=fp)
+        assert status(path)["status"] == "failed"
+        seen = []
+
+        def on_tile(index, tile):
+            seen.append(status(path)["status"])
+
+        resume(path, gen, on_tile=on_tile)
+        assert seen and set(seen) == {"running"}
+        assert status(path)["status"] == "complete"
+
     def test_load_rejects_foreign_format(self, tmp_path):
         (tmp_path / "manifest.json").write_text(
             json.dumps({"format": "somebody-else/v9"})
@@ -414,10 +458,10 @@ class TestStripJobs:
         streamed = assemble_strips(
             stream_strips(gen, noise, N, TILE, self.STRIP)
         )
-        surface = run_strips(gen, noise, N, TILE, self.STRIP,
-                             checkpoint=tmp_path / "job")
+        surface = run_tiled(gen, noise, strip_plan(N, TILE, self.STRIP),
+                            checkpoint=tmp_path / "job")
         assert np.array_equal(surface.heights, streamed.heights)
-        assert surface.provenance["strips"] == len(
+        assert surface.provenance["tiles"] == len(
             strip_plan(N, TILE, self.STRIP)
         )
 
@@ -429,10 +473,11 @@ class TestStripJobs:
                             for a in range(1, 4)))
         path = tmp_path / "job"
         with pytest.raises(TileFailedError):
-            run_strips(gen, noise, N, TILE, self.STRIP, checkpoint=path,
-                       retry=FAST, fault_plan=fp)
+            run_tiled(gen, noise, strip_plan(N, TILE, self.STRIP),
+                      checkpoint=path, retry=FAST, fault_plan=fp)
         st = status(path)
-        assert st["kind"] == "strips"
+        # a strip job is a tiled job on the strip plan
+        assert st["kind"] == "tiled"
         assert st["status"] == "failed"
         surface = resume(path, gen)
         assert np.array_equal(surface.heights, streamed.heights)

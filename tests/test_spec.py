@@ -9,6 +9,9 @@ and ``job run --spec`` to the same bytes the flag path produces.
 """
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,6 +276,49 @@ class TestOneSpecEveryConsumer:
         assert (load_surface(ref).heights.tobytes()
                 == load_surface(out).heights.tobytes())
 
+    @pytest.mark.parametrize("fault", [False, True],
+                             ids=["clean", "inject-fault"])
+    @pytest.mark.parametrize("store", [False, True], ids=["ram", "store"])
+    @pytest.mark.parametrize("command", [
+        ("generate",), ("job", "run"), ("job", "run", "--mode", "strips"),
+    ], ids=["generate-tile", "job-run", "job-run-strips"])
+    def test_dumped_spec_reproduces_command(self, tmp_path, capsys,
+                                            command, store, fault):
+        """A tiled command and its own --dump-spec document, run through
+        --spec, give the same bytes and the same retry count."""
+        flags = [*BASE_FLAGS, "--tile", "16"]
+        if fault:
+            flags += ["--inject-fault", "tile=1,attempt=1"]
+        spec_command = ["generate"] if command == ("generate",) \
+            else ["job", "run"]
+
+        def sinks(tag):
+            out = []
+            if command[0] == "job":
+                out += ["--checkpoint", str(tmp_path / f"ck-{tag}")]
+            if store:
+                out += ["--store", str(tmp_path / f"store-{tag}")]
+            return out
+
+        assert main([*command, *flags, *sinks("flags"),
+                     "--npz", str(tmp_path / "flags.npz")]) == 0
+        capsys.readouterr()
+        # the dumped document names its own (not yet created) store
+        assert main([*command, *flags, *sinks("spec"), "--dump-spec"]) == 0
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(capsys.readouterr().out)
+        checkpoint = (["--checkpoint", str(tmp_path / "ck-run")]
+                      if command[0] == "job" else [])
+        assert main([*spec_command, "--spec", str(spec_file), *checkpoint,
+                     "--npz", str(tmp_path / "spec.npz")]) == 0
+        capsys.readouterr()
+        a = load_surface(tmp_path / "flags.npz")
+        b = load_surface(tmp_path / "spec.npz")
+        assert a.heights.tobytes() == b.heights.tobytes()
+        retries = a.provenance["resilience"]["retries"]
+        assert retries == b.provenance["resilience"]["retries"]
+        assert retries == (1 if fault else 0)
+
     def test_spec_and_flags_are_mutually_exclusive(self, tmp_path, capsys):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(self._dump_spec(capsys))
@@ -287,3 +333,64 @@ class TestOneSpecEveryConsumer:
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--spec", str(spec_file)])
         assert "generator.grid.nx" in str(exc.value)
+
+
+def _run_dist_coordinator(store):
+    """``dist coordinator`` plus one ``dist worker``, as subprocesses."""
+    env = {"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    cli = [sys.executable, "-m", "repro.cli", "dist"]
+    coord = subprocess.Popen(
+        [*cli, "coordinator", *BASE_FLAGS, "--tile", "16",
+         "--store", str(store), "--workers", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        address = coord.stdout.readline().rsplit(" ", 1)[-1].strip()
+        worker = subprocess.run([*cli, "worker", "--connect", address],
+                                capture_output=True, text=True,
+                                timeout=120, env=env)
+        out, err = coord.communicate(timeout=120)
+    finally:
+        coord.kill()
+        coord.wait()
+    assert worker.returncode == 0, worker.stdout + worker.stderr
+    assert coord.returncode == 0, out + err
+
+
+@pytest.mark.verify
+class TestEveryStorePathGates:
+    """Each CLI path that writes a store records the spectrum the
+    store is verified against, so ``repro verify STORE`` gates it."""
+
+    @pytest.mark.parametrize("route", [
+        "generate-tile", "generate-spec", "job-run", "job-run-spec",
+        "job-run-strips",
+        pytest.param("dist-coordinator", marks=pytest.mark.dist),
+    ])
+    def test_store_gates_psd_band(self, tmp_path, capsys, route):
+        store = tmp_path / "store"
+        ck = ["--checkpoint", str(tmp_path / "ck")]
+        tiled = [*BASE_FLAGS, "--tile", "16"]
+        if route.endswith("-spec"):
+            spec_file = tmp_path / "spec.json"
+            assert main(["generate", *tiled, "--store", str(store),
+                         "--dump-spec"]) == 0
+            spec_file.write_text(capsys.readouterr().out)
+        argv = {
+            "generate-tile": ["generate", *tiled, "--store", str(store)],
+            "generate-spec": ["generate", "--spec", str(tmp_path / "spec.json")],
+            "job-run": ["job", "run", *tiled, *ck, "--store", str(store)],
+            "job-run-spec": ["job", "run", "--spec",
+                             str(tmp_path / "spec.json"), *ck],
+            "job-run-strips": ["job", "run", *tiled, *ck, "--mode", "strips",
+                               "--store", str(store)],
+        }.get(route)
+        if argv is None:
+            _run_dist_coordinator(store)
+        else:
+            assert main(argv) == 0
+        capsys.readouterr()
+        main(["verify", str(store), "--json"])
+        report = json.loads(capsys.readouterr().out)
+        psd = [m for m in report["metrics"] if m["name"] == "psd_band"]
+        assert psd and psd[0]["passed"] is not None, report["metrics"]

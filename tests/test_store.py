@@ -35,11 +35,10 @@ from repro.jobs import (
     RetryPolicy,
     TileFailedError,
     resume,
-    run_strips,
     run_tiled,
     status,
 )
-from repro.parallel import TilePlan, generate_tiled
+from repro.parallel import TilePlan, generate_tiled, strip_plan
 
 pytestmark = pytest.mark.store
 
@@ -454,9 +453,9 @@ class TestDifferential:
         ).heights
         store = SurfaceStore.create(tmp_path / "store", shape=(N, N),
                                     chunk=(TILE, N))
-        surface = run_strips(gen, noise, N, N, TILE,
-                             checkpoint=tmp_path / "ck",
-                             retry=FAST, store=store)
+        surface = run_tiled(gen, noise, strip_plan(N, N, TILE),
+                            checkpoint=tmp_path / "ck",
+                            retry=FAST, store=store)
         np.testing.assert_array_equal(np.asarray(surface.heights), expected)
         assert store.done.all()
 
@@ -612,7 +611,8 @@ class TestStoreFaults:
                                    / "src")},
         )
         assert proc.returncode == -signal.SIGKILL, proc.stdout + proc.stderr
-        assert status(tmp_path / "ck")["status"] == "running"
+        # the manifest still says running, but its owner pid is gone
+        assert status(tmp_path / "ck")["status"] == "stale"
         done_before = set(
             SurfaceStore.open(tmp_path / "store", mode="r").done_indices()
         )
