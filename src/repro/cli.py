@@ -458,18 +458,29 @@ def _job_failed(exc: Exception, checkpoint: str) -> "SystemExit":
     )
 
 
+#: Exit code of ``verify`` / ``job run --verify`` when no metric had a
+#: target (no spectrum to gate against): not a FAIL (1), not a PASS.
+EXIT_NOT_GATED = 3
+
+
+def _verify_exit_code(report) -> int:
+    """0 PASS, 1 FAIL, :data:`EXIT_NOT_GATED` when nothing was gated."""
+    if all(m.passed is None for m in report.metrics):
+        return EXIT_NOT_GATED
+    return 0 if report.passed else 1
+
+
 def _print_verify_outcome(doc) -> int:
-    """Summarise a ``repro.verify/v1`` document; non-zero on a red gate."""
+    """Summarise a ``repro.verify/v1`` document; return its exit code."""
     from .verify import VerifyReport
 
     if not doc:
         raise SystemExit("verify: no report produced")
-    report = VerifyReport.from_dict(doc)
-    _print_verify_report(report)
-    return 0 if report.passed else 1
+    return _print_verify_report(VerifyReport.from_dict(doc))
 
 
-def _print_verify_report(report) -> None:
+def _print_verify_report(report) -> int:
+    """Print the metric table and verdict; return the exit code."""
     for m in report.metrics:
         state = {True: "pass", False: "FAIL", None: "info"}[m.passed]
         meas = "-" if m.measured is None else f"{m.measured:.6g}"
@@ -477,7 +488,11 @@ def _print_verify_report(report) -> None:
         tol = "-" if m.tolerance is None else f"{m.tolerance:.3g}"
         print(f"  {m.name:<14} {state:<4} measured={meas:<12} "
               f"target={targ:<12} tol={tol}")
-    print(f"verify: {'PASS' if report.passed else 'FAIL'}")
+    rc = _verify_exit_code(report)
+    print("verify: " + {0: "PASS", 1: "FAIL",
+                        EXIT_NOT_GATED: "NOT GATED (no target spectrum; "
+                                        "give --spec)"}[rc])
+    return rc
 
 
 def _cmd_job_run(args: argparse.Namespace) -> int:
@@ -508,7 +523,6 @@ def _cmd_job_run(args: argparse.Namespace) -> int:
             backend=args.backend,
             workers=args.workers,
             retry=retry,
-            checkpoint_every=args.checkpoint_every,
             store=store,
             verify=args.verify,
         )
@@ -540,7 +554,6 @@ def _cmd_job_resume(args: argparse.Namespace) -> int:
             backend=args.backend,
             workers=args.workers,
             fault_plan=_fault_plan_from_args(args),
-            checkpoint_every=args.checkpoint_every,
         )
     except (FileNotFoundError, ValueError) as exc:
         raise SystemExit(str(exc))
@@ -971,9 +984,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         write_report(report, args.output)
     if args.json:
         print(report.to_json())
-    else:
-        _print_verify_report(report)
-    return 0 if report.passed else 1
+        return _verify_exit_code(report)
+    return _print_verify_report(report)
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
@@ -1142,20 +1154,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     jr.add_argument(
         "--store", default=None, metavar="DIR",
-        help="stream heights into an out-of-core SurfaceStore instead "
-             "of RAM + state.npz; resume skips the chunks its bitmap "
-             "has durably recorded",
+        help="stream heights into an out-of-core SurfaceStore at DIR "
+             "(default: the checkpoint's own store/, read back into RAM "
+             "when the job completes); resume skips the chunks its "
+             "bitmap has durably recorded",
     )
     jr.add_argument(
         "--mode", choices=("tiled", "strips"), default="tiled",
         help="tiled: square tiles; strips: full-height strips covering "
              "the same windows as stream_strips",
-    )
-    jr.add_argument(
-        "--checkpoint-every", type=int, default=1, metavar="K",
-        help="flush an in-memory job's state every K completed tiles "
-             "(a --store job writes its manifest only on a status "
-             "change; the store's chunk bitmap records progress)",
     )
     jr.add_argument(
         "--verify", action="store_true",
@@ -1201,8 +1208,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the recorded backend (cannot change the values)",
     )
     jz.add_argument("--workers", type=_positive_int, default=None)
-    jz.add_argument("--checkpoint-every", type=int, default=1, metavar="K",
-                    help="as for job run: in-memory jobs only")
     jz.add_argument("--inject-fault", action="append", default=None,
                     metavar="SPEC")
     _add_output_args(jz)

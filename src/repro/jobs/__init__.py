@@ -16,10 +16,10 @@ Pieces
     Deterministic fault injection ("fail tile k on attempt n", kill the
     worker, add latency) for tests and the ``--inject-fault`` CLI flag.
 :class:`JobCheckpoint`
-    The durable ``repro.jobs/v1`` directory format: a JSON manifest
-    plus an NPZ of partial heights and the done-tile mask, both written
-    atomically.  A store-backed job keeps only the manifest, written on
-    status changes; the store's chunk bitmap records its progress.
+    The durable ``repro.jobs/v1`` directory format: a JSON manifest,
+    written atomically on status changes, naming the job's
+    :class:`~repro.io.store.SurfaceStore` (the caller's, or the
+    checkpoint's own ``store/``), whose chunk bitmap records progress.
 :func:`run_tiled` / :func:`run_spec` / :func:`resume` / :func:`status`
     The job API, also exposed as ``repro job run/resume/status`` on the
     command line.  A strip job is ``run_tiled`` on :func:`strip_plan`.

@@ -1,30 +1,27 @@
 """Durable on-disk job state: the ``repro.jobs/v1`` checkpoint format.
 
-A checkpoint is a directory holding two atomically-written files:
+A checkpoint is a directory holding one atomically-written file,
+``manifest.json``: everything needed to *re-derive* the run — the tile
+plan, the noise plane's seed and block size, backend/workers, the retry
+policy, a fingerprint of the generator's stable configuration, an
+optional ``rebuild`` recipe (how the CLI can reconstruct the generator
+from spectrum/figure parameters), retry/respawn accounting, an
+observability counter snapshot, and the job status (``running`` /
+``failed`` / ``complete``).  A ``running`` manifest also names its
+``owner`` (host and pid), so :meth:`JobCheckpoint.summary` reports a
+job whose process is gone as ``stale``.
 
-``manifest.json``
-    Everything needed to *re-derive* the run: the tile plan, the noise
-    plane's seed and block size, backend/workers, the retry policy, a
-    fingerprint of the generator's stable configuration, an optional
-    ``rebuild`` recipe (how the CLI can reconstruct the generator from
-    spectrum/figure parameters), retry/respawn accounting, an
-    observability counter snapshot, and the job status (``running`` /
-    ``failed`` / ``complete``).  A ``running`` manifest also names its
-    ``owner`` (host and pid), so :meth:`JobCheckpoint.summary` reports
-    a job whose process is gone as ``stale``.
-``state.npz``
-    The partial ``heights`` array plus the boolean ``done`` mask over
-    the plan's row-major tile order.
-
-Store-backed jobs (``store=`` on :func:`repro.jobs.run_tiled` /
-:func:`~repro.jobs.run_spec`) keep **no** ``state.npz``: the heights
-live in the :class:`repro.io.store.SurfaceStore` and the store's
-per-chunk bitmap *is* the done mask and the only progress ledger — the
-manifest records the store's path under ``"store"`` and progress is
-read back from the bitmap on load.  The manifest is written only on a
+Every job writes its heights into a :class:`repro.io.store.SurfaceStore`
+whose chunk grid is the tile plan: the caller's (``store=`` on
+:func:`repro.jobs.run_tiled` / :func:`~repro.jobs.run_spec`), or else
+one the checkpoint creates in its own ``store/`` subdirectory.  The
+manifest records the store's path under ``"store"``: relative to the
+checkpoint for its own store, so the directory can be moved, and
+absolute for a caller's.  The store's per-chunk bitmap *is* the done
+mask and the only progress ledger; the manifest is written only on a
 status change (``running``, then ``failed`` or ``complete``), never per
 tile.  Because the store writer marks a chunk only after its write, a
-resumed store job can never trust data that is not on disk.
+resumed job can never trust data that is not on disk.
 
 Because tile values are pure functions of ``(generator, noise seed,
 tile)``, a checkpoint plus the same generator configuration is
@@ -48,7 +45,8 @@ import numpy as np
 
 from .. import obs
 from ..core.rng import BlockNoise
-from ..io.atomic import atomic_write_json, atomic_write_npz
+from ..io.atomic import atomic_write_json
+from ..io.store import SurfaceStore
 from ..parallel.tiles import TilePlan
 from .retry import RetryPolicy
 
@@ -56,7 +54,8 @@ __all__ = ["JobCheckpoint", "generator_fingerprint", "FORMAT_VERSION"]
 
 FORMAT_VERSION = "repro.jobs/v1"
 MANIFEST_NAME = "manifest.json"
-STATE_NAME = "state.npz"
+#: Where a job given no store keeps its own, relative to the checkpoint.
+STORE_DIR = "store"
 
 PathLike = Union[str, Path]
 
@@ -98,20 +97,15 @@ def generator_fingerprint(generator: Any) -> str:
 class JobCheckpoint:
     """In-memory handle on one checkpoint directory.
 
-    ``heights`` is the live output array — :func:`repro.jobs.run_tiled`
-    hands it to the executor as ``out=``, so marking a tile done and
-    calling :meth:`write` persists exactly what has been computed.
-    For store-backed jobs ``heights`` is ``None``, ``store`` holds the
-    open :class:`~repro.io.store.SurfaceStore`, and ``done`` *is* the
-    store's live chunk bitmap (shared array, maintained by the store's
-    writer).
+    ``store`` is the open :class:`~repro.io.store.SurfaceStore` the
+    executor fills (``out=``); its live chunk bitmap ``store.done``,
+    which the store's writer marks after each durable chunk write, is
+    the job's done mask.
     """
 
     path: Path
     manifest: Dict[str, Any]
-    heights: Optional[np.ndarray]
-    done: np.ndarray
-    store: Optional[Any] = None
+    store: SurfaceStore
 
     # -- lifecycle ---------------------------------------------------------
     @classmethod
@@ -127,8 +121,10 @@ class JobCheckpoint:
         retry: Optional[RetryPolicy],
         generator: Any,
         rebuild: Optional[dict] = None,
-        store: Optional[Any] = None,
+        store: Optional[SurfaceStore] = None,
     ) -> "JobCheckpoint":
+        """Start a job at ``path``.  Without ``store`` the job writes its
+        heights into a new store of its own under ``path/store``."""
         path = Path(path)
         if (path / MANIFEST_NAME).exists():
             raise FileExistsError(
@@ -136,9 +132,18 @@ class JobCheckpoint:
                 f"repro.jobs.resume() (or delete it) instead of "
                 f"starting a new job there"
             )
-        if store is not None:
+        if store is None:
+            grid = generator.grid
+            store = SurfaceStore.create(
+                path / STORE_DIR, shape=(plan.total_nx, plan.total_ny),
+                chunk=(plan.tile_nx, plan.tile_ny), dx=grid.dx, dy=grid.dy,
+                origin=(plan.origin_x, plan.origin_y),
+            )
+            store_path = STORE_DIR
+        else:
             store.validate_plan(plan)  # tile index must equal chunk index
-        path.mkdir(parents=True, exist_ok=True)
+            path.mkdir(parents=True, exist_ok=True)
+            store_path = str(Path(store.path).resolve())
         manifest: Dict[str, Any] = {
             "format": FORMAT_VERSION,
             "kind": kind,
@@ -162,24 +167,9 @@ class JobCheckpoint:
             "resilience": None,
             "obs_counters": None,
             "error": None,
+            "store": {"path": store_path},
         }
-        if store is not None:
-            manifest["store"] = {"path": str(Path(store.path).resolve())}
-            ckpt = cls(
-                path=path, manifest=manifest,
-                heights=None, done=store.done, store=store,
-            )
-        else:
-            # the live array must match the generator's precision (the
-            # executor refuses a mismatched out= target)
-            out_dtype = np.dtype(getattr(generator, "dtype", np.float64))
-            ckpt = cls(
-                path=path,
-                manifest=manifest,
-                heights=np.zeros((plan.total_nx, plan.total_ny),
-                                 dtype=out_dtype),
-                done=np.zeros(len(plan), dtype=bool),
-            )
+        ckpt = cls(path=path, manifest=manifest, store=store)
         ckpt.write()
         return ckpt
 
@@ -199,32 +189,25 @@ class JobCheckpoint:
                 f"unsupported checkpoint format {fmt!r} at {path} "
                 f"(this build reads {FORMAT_VERSION!r})"
             )
-        plan = _plan_from_manifest(manifest)
-        store_spec = manifest.get("store")
-        if store_spec is not None:
-            # heights + done live in the store; the bitmap — written
-            # only after each durable chunk write — is authoritative.
-            from ..io.store import SurfaceStore
+        if manifest.get("store") is None:
+            raise ValueError(
+                f"checkpoint at {path} records no store: an earlier build "
+                f"wrote it for an in-memory job, whose heights this build "
+                f"cannot read; re-run the job"
+            )
+        # heights + done live in the store; the bitmap — written only
+        # after each durable chunk write — is authoritative.  A relative
+        # path is the job's own store, inside this (movable) directory.
+        store = SurfaceStore.open(path / manifest["store"]["path"],
+                                  mode="r+")
+        store.validate_plan(_plan_from_manifest(manifest))
+        return cls(path=path, manifest=manifest, store=store)
 
-            store = SurfaceStore.open(store_spec["path"], mode="r+")
-            store.validate_plan(plan)
-            return cls(path=path, manifest=manifest,
-                       heights=None, done=store.done, store=store)
-        with np.load(path / STATE_NAME) as state:
-            # keep the stored precision: a float32 job must resume into
-            # a float32 array or the executor rejects it as out= target
-            heights = np.array(state["heights"])
-            done = np.array(state["done"], dtype=bool)
-        if heights.shape != (plan.total_nx, plan.total_ny):
-            raise ValueError(
-                f"checkpoint state shape {heights.shape} does not match "
-                f"the manifest plan {(plan.total_nx, plan.total_ny)}"
-            )
-        if done.shape != (len(plan),):
-            raise ValueError(
-                "checkpoint done mask does not match the plan's tile count"
-            )
-        return cls(path=path, manifest=manifest, heights=heights, done=done)
+    @property
+    def owns_store(self) -> bool:
+        """Whether the store is the job's own (created under ``path``)
+        rather than one the caller passed in."""
+        return not Path(self.manifest["store"]["path"]).is_absolute()
 
     # -- derived pieces ----------------------------------------------------
     @property
@@ -249,32 +232,20 @@ class JobCheckpoint:
         return self.manifest.get("status", "unknown")
 
     def done_indices(self) -> List[int]:
-        return [int(i) for i in np.flatnonzero(self.done)]
-
-    def mark_done(self, index: int) -> None:
-        """Mark one tile of an in-memory job done.  A store job never
-        calls this: its store's writer marks a chunk after the write."""
-        self.done[index] = True
-
-    @property
-    def out_target(self) -> Any:
-        """What the executor should fill: the store or the live array."""
-        return self.store if self.store is not None else self.heights
+        return self.store.done_indices()
 
     # -- persistence -------------------------------------------------------
     def write(self, status: Optional[str] = None) -> None:
-        """Persist manifest + state atomically (a ``jobs.checkpoint.write``
-        span; state first so a crash between the two files leaves a
-        manifest that undercounts, never overcounts, progress).  A
-        store job has no state and writes only on a status change, after
-        its store's writer closed, so ``tiles_done`` is the persisted
+        """Persist the manifest atomically (a ``jobs.checkpoint.write``
+        span).  The runner writes only on a status change, after the
+        store's writer closed, so ``tiles_done`` is the persisted
         bitmap's count."""
         if status is not None:
             self.manifest["status"] = status
         if self.manifest["status"] == "running":
             self.manifest["owner"] = {"host": socket.gethostname(),
                                       "pid": os.getpid()}
-        self.manifest["progress"]["tiles_done"] = int(self.done.sum())
+        self.manifest["progress"]["tiles_done"] = int(self.store.done.sum())
         if obs.enabled():
             self.manifest["obs_counters"] = (
                 obs.get_recorder().metrics.as_dict()
@@ -283,9 +254,6 @@ class JobCheckpoint:
                        {"tiles_done":
                         self.manifest["progress"]["tiles_done"]}
                        if obs.enabled() else None):
-            if self.store is None:
-                atomic_write_npz(self.path / STATE_NAME,
-                                 heights=self.heights, done=self.done)
             atomic_write_json(self.path / MANIFEST_NAME, self.manifest)
         if obs.enabled():
             obs.add("jobs.checkpoint_writes")
@@ -294,7 +262,7 @@ class JobCheckpoint:
         """The ``repro job status`` view of this checkpoint."""
         progress = self.manifest["progress"]
         total = progress["tiles_total"]
-        done = int(self.done.sum())
+        done = int(self.store.done.sum())
         state = self.manifest["status"]
         if state == "running" and not _owner_alive(self.manifest.get("owner")):
             state = "stale"
@@ -311,8 +279,7 @@ class JobCheckpoint:
             "generator": self.manifest.get("generator"),
             "resilience": self.manifest.get("resilience"),
             "error": self.manifest.get("error"),
-            **({"store": self.manifest["store"]}
-               if self.manifest.get("store") else {}),
+            "store": self.manifest["store"],
         }
 
 

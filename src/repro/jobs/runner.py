@@ -7,9 +7,12 @@ resilient executor (:func:`repro.parallel.executor.generate_tiled` with
 ``retry=``) to the durable :class:`~repro.jobs.checkpoint.JobCheckpoint`
 state:
 
-* :func:`run_tiled` / :func:`run_spec` execute a plan while recording
-  completed tiles; any failure (injected or real) leaves a resumable
-  checkpoint behind.
+* :func:`run_tiled` / :func:`run_spec` execute a plan into a
+  :class:`~repro.io.store.SurfaceStore` — the caller's, or one the
+  checkpoint creates for itself — whose chunk bitmap records completed
+  tiles; any failure (injected or real) leaves a resumable checkpoint
+  behind.  A job given no store returns its heights in RAM, in the
+  generator's dtype.
 * :func:`resume` finishes a checkpointed job — skipping completed tiles
   and recomputing the rest — with heights **bit-identical** to an
   uninterrupted run, because tile values are pure functions of
@@ -26,16 +29,18 @@ equals ``assemble_strips(stream_strips(...))`` bit-for-bit.
 
 from __future__ import annotations
 
-import itertools
+import dataclasses
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
+
+import numpy as np
 
 from .. import obs
 from ..core.rng import BlockNoise
 from ..core.surface import Surface
 from ..parallel.executor import generate_tiled
 from ..parallel.tiles import TilePlan
-from .checkpoint import JobCheckpoint, generator_fingerprint
+from .checkpoint import STORE_DIR, JobCheckpoint, generator_fingerprint
 from .faults import FaultPlan
 from .retry import RetryPolicy
 
@@ -55,47 +60,24 @@ def _execute(
     workers: Optional[int],
     retry: Optional[RetryPolicy],
     fault_plan: Optional[FaultPlan],
-    checkpoint_every: int,
     resumed: bool,
     on_tile: Optional[Any] = None,
 ) -> Surface:
-    """Run ``plan`` against the checkpoint, persisting progress.
+    """Run ``plan`` into the checkpoint's store.
 
-    In-memory jobs mark completed tiles immediately and rewrite the
-    checkpoint every ``checkpoint_every`` completions.  Store jobs leave
-    progress to the store's chunk bitmap and write the manifest only on
-    a status change.  On *any* failure (including ``KeyboardInterrupt``)
-    the final state is flushed with ``status="failed"`` before the
-    exception propagates, so the run is always resumable.
+    Progress is the store's chunk bitmap, which its writer marks and
+    persists; the manifest is written only on a status change.  On
+    *any* failure (including ``KeyboardInterrupt``) it is written with
+    ``status="failed"`` before the exception propagates, so the run is
+    always resumable.  ``on_tile`` (serve job trackers) fires as each
+    tile is handed to the store's writer.
     """
-    if checkpoint_every < 1:
-        raise ValueError("checkpoint_every must be >= 1")
-    if backend == "dist" and ckpt.store is None:
-        raise ValueError(
-            "backend='dist' requires a store-backed job (store=): the "
-            "store's chunk bitmap is the distributed completion ledger"
-        )
     if resumed:
         # this process owns the job now: a live resume of a killed job
         # must read as running, not stale (nor failed)
         ckpt.write(status="running")
     policy = retry if retry is not None else (ckpt.retry or RetryPolicy())
     skip = ckpt.done_indices()
-    # A store job's progress ledger is the store's chunk bitmap, which
-    # its writer marks and persists, so per tile there is only the
-    # caller's hook (serve job trackers), fired as the tile is handed to
-    # the writer; the manifest is written only on a status change.
-    record_tile = on_tile
-    if ckpt.store is None:
-        completions = itertools.count(1)
-
-        def record_tile(index: int, tile) -> None:
-            ckpt.mark_done(index)
-            if next(completions) % checkpoint_every == 0:
-                ckpt.write()
-            if on_tile is not None:
-                on_tile(index, tile)
-
     if obs.enabled():
         obs.add("jobs.resumes" if resumed else "jobs.runs")
     obs.event(
@@ -114,12 +96,14 @@ def _execute(
                 generator, noise, plan,
                 backend=backend, workers=workers,
                 retry=policy, fault_plan=fault_plan,
-                out=ckpt.out_target, skip=skip, on_tile=record_tile,
+                out=ckpt.store, skip=skip, on_tile=on_tile,
                 rebuild=ckpt.manifest.get("rebuild"),
             )
     except BaseException as exc:
         ckpt.manifest["error"] = repr(exc)
         ckpt.write(status="failed")
+        if ckpt.owns_store:
+            ckpt.store.close()
         obs.event(
             "jobs.run.failed", level="error",
             kind=ckpt.manifest["kind"], backend=backend,
@@ -129,6 +113,15 @@ def _execute(
     ckpt.manifest["error"] = None
     ckpt.manifest["resilience"] = surface.provenance.get("resilience")
     ckpt.write(status="complete")
+    if ckpt.owns_store:
+        # the caller asked for no store: hand the heights back in RAM,
+        # in the generator's dtype (a float32 tile survives the float64
+        # store exactly)
+        surface = dataclasses.replace(surface, heights=np.array(
+            ckpt.store.heights(),
+            dtype=getattr(generator, "dtype", np.float64)))
+        surface.provenance.pop("store", None)
+        ckpt.store.close()
     obs.event(
         "jobs.run.finish",
         kind=ckpt.manifest["kind"], backend=backend,
@@ -153,7 +146,6 @@ def run_tiled(
     workers: Optional[int] = None,
     retry: Optional[RetryPolicy] = None,
     fault_plan: Optional[FaultPlan] = None,
-    checkpoint_every: int = 1,
     rebuild: Optional[dict] = None,
     store: Optional[Any] = None,
     on_tile: Optional[Any] = None,
@@ -162,18 +154,17 @@ def run_tiled(
 
     Parameters mirror :func:`repro.parallel.executor.generate_tiled`;
     additionally ``checkpoint`` names a fresh directory for the durable
-    state, ``checkpoint_every`` sets how many completed tiles trigger a
-    state flush of an in-memory job, and ``rebuild`` optionally records
-    a recipe (spectrum or figure parameters) from which :func:`resume`
-    can reconstruct the generator when the caller cannot pass one.
-    ``store`` (a :class:`repro.io.store.SurfaceStore` whose chunk grid
-    equals the plan) makes the job out-of-core: heights stream to the
-    store, the checkpoint keeps no ``state.npz`` and writes its
-    manifest only on a status change (``checkpoint_every`` does not
-    apply), and resume skips the chunks the store's persisted bitmap
-    records.  ``on_tile(index, tile)`` fires in the parent after each
-    tile: for an in-memory job once the tile is marked, for a store job
-    once it is handed to the store's writer.
+    state, and ``rebuild`` optionally records a recipe (spectrum or
+    figure parameters) from which :func:`resume` can reconstruct the
+    generator when the caller cannot pass one.  Heights stream to a
+    store whose chunk grid equals the plan: ``store`` (a
+    :class:`repro.io.store.SurfaceStore`, left open, and the returned
+    surface holds its read-only memmap), or else one the checkpoint
+    creates under ``checkpoint/store`` (the returned heights are then
+    an in-RAM array in the generator's dtype).  The manifest is written
+    only on a status change, and resume skips the chunks the store's
+    persisted bitmap records.  ``on_tile(index, tile)`` fires in the
+    parent as each tile is handed to the store's writer.
     """
     policy = retry if retry is not None else RetryPolicy()
     ckpt = JobCheckpoint.create(
@@ -184,8 +175,7 @@ def run_tiled(
     return _execute(
         ckpt, generator, noise, plan,
         backend=backend, workers=workers, retry=policy,
-        fault_plan=fault_plan, checkpoint_every=checkpoint_every,
-        resumed=False, on_tile=on_tile,
+        fault_plan=fault_plan, resumed=False, on_tile=on_tile,
     )
 
 
@@ -256,7 +246,6 @@ def run_spec(
     workers: Optional[int] = None,
     retry: Optional[RetryPolicy] = None,
     fault_plan: Optional[FaultPlan] = None,
-    checkpoint_every: int = 1,
     store: Optional[Any] = None,
     on_tile: Optional[Any] = None,
     verify: bool = False,
@@ -269,13 +258,14 @@ def run_spec(
     the checkpoint's ``rebuild``, and — when ``store`` is not passed
     explicitly — a ``spec.store_path`` creates the out-of-core sink
     through :meth:`~repro.core.spec.GenerationSpec.create_store` (left
-    open: closing fsyncs the whole heights file).  Any two calls with an
-    equal spec produce bit-identical heights on every backend; this is
-    what ``job run`` (flags or ``--spec``) and the ``repro.serve``
-    front door run.
+    open: closing fsyncs the whole heights file); with neither, the job
+    writes the checkpoint's own store, as in :func:`run_tiled`.  Any
+    two calls with an equal spec produce bit-identical heights on every
+    backend; this is what ``job run`` (flags or ``--spec``) and the
+    ``repro.serve`` front door run.
 
     ``verify=True`` runs the :mod:`repro.verify` streaming pass after
-    generation, gating the surface against the spec's spectrum.  The
+    generation, gating the job's store against the spec's spectrum.  The
     ``repro.verify/v1`` report is checkpointed as ``verify.json`` next
     to the job manifest and attached to ``surface.provenance["verify"]``;
     a failing report does not raise — callers decide what a red gate
@@ -295,25 +285,19 @@ def run_spec(
         generator, spec.noise(), spec.tile_plan(),
         checkpoint=checkpoint, backend=backend, workers=workers,
         retry=retry, fault_plan=fault_plan,
-        checkpoint_every=checkpoint_every,
         rebuild=spec.generator, store=store, on_tile=on_tile,
     )
     if verify:
-        from ..verify import (
-            REPORT_NAME, verify_heights, verify_store, write_report,
-        )
+        from ..verify import REPORT_NAME, verify_store, write_report
 
         spectrum = None
         if isinstance(spec.generator.get("spectrum"), dict):
             from ..core.spectra import spectrum_from_dict
 
             spectrum = spectrum_from_dict(spec.generator["spectrum"])
-        if store is not None:
-            report = verify_store(store, spectrum)
-        else:
-            grid = generator.grid
-            report = verify_heights(
-                surface.heights, spectrum, dx=grid.dx, dy=grid.dy)
+        report = verify_store(
+            store if store is not None
+            else Path(checkpoint) / STORE_DIR, spectrum)
         write_report(report, Path(checkpoint) / REPORT_NAME)
         surface.provenance["verify"] = report.to_dict()
     return surface
@@ -327,7 +311,6 @@ def resume(
     workers: Optional[int] = None,
     retry: Optional[RetryPolicy] = None,
     fault_plan: Optional[FaultPlan] = None,
-    checkpoint_every: int = 1,
     check_generator: bool = True,
     on_tile: Optional[Any] = None,
 ) -> Surface:
@@ -358,8 +341,7 @@ def resume(
         backend=backend or ckpt.manifest.get("backend", "serial"),
         workers=workers if workers is not None
         else ckpt.manifest.get("workers"),
-        retry=retry, fault_plan=fault_plan,
-        checkpoint_every=checkpoint_every, resumed=True, on_tile=on_tile,
+        retry=retry, fault_plan=fault_plan, resumed=True, on_tile=on_tile,
     )
 
 

@@ -744,8 +744,8 @@ def generate_tiled(
     out:
         Preallocated output of shape ``(plan.total_nx, plan.total_ny)``
         and the generator's dtype (float64 unless the generator opts
-        into float32) to fill in place — the checkpoint/resume hook:
-        tiles listed in ``skip`` keep whatever ``out`` already holds.
+        into float32) to fill in place: tiles listed in ``skip`` keep
+        whatever ``out`` already holds.
         May also be a :class:`repro.io.store.SurfaceStore` whose chunk
         grid equals the tile plan: tiles are then streamed to disk
         through an async :class:`~repro.io.store.StoreWriter` (the
@@ -758,12 +758,11 @@ def generate_tiled(
         Indices into ``plan.tiles()`` (row-major) already completed.
     on_tile:
         ``on_tile(index, tile)`` called in the parent after that tile's
-        data has landed in the output array (any backend) — the
-        incremental-checkpoint hook of :mod:`repro.jobs`.  With a
+        data has landed in the output array (any backend).  With a
         store target the hook fires at *submission* to the writeback
         queue; durable completion is what the store's own bitmap
-        records, so store-backed checkpoints must trust the bitmap,
-        not this hook (``repro.jobs`` does).
+        records, so checkpoints must trust the bitmap, not this hook
+        (``repro.jobs`` does).
     rebuild:
         Generator recipe (as checkpointed by :mod:`repro.jobs`) for
         the ``dist`` backend, whose workers rebuild the generator in

@@ -601,10 +601,9 @@ def verify_job(
 ) -> VerifyReport:
     """Verify the store referenced by a job checkpoint directory.
 
-    Reads the checkpoint manifest for the store path and the rebuild
-    recipe's spectrum; only store-backed jobs can be verified out of
-    core (in-memory jobs should call :func:`verify_heights` on their
-    result).
+    Reads the checkpoint manifest for the store path (every job has
+    one: a relative path is the job's own store inside the checkpoint)
+    and, unless ``spectrum`` is given, the rebuild recipe's spectrum.
     """
     ckpt = Path(checkpoint)
     manifest_path = ckpt / "manifest.json"
@@ -614,14 +613,14 @@ def verify_job(
     store_ref = manifest.get("store")
     if not store_ref or "path" not in store_ref:
         raise VerifyError(
-            f"job at {ckpt} is not store-backed; re-run with --store or "
-            "verify its in-memory result via verify_heights()"
+            f"job at {ckpt} is not store-backed: its manifest records "
+            "no store; re-run the job"
         )
     if spectrum is None:
         recipe = (manifest.get("rebuild") or {}).get("spectrum")
         if isinstance(recipe, dict):
             spectrum = spectrum_from_dict(recipe)
-    return verify_store(store_ref["path"], spectrum, config=config)
+    return verify_store(ckpt / store_ref["path"], spectrum, config=config)
 
 
 # -- report persistence ----------------------------------------------------

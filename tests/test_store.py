@@ -553,11 +553,16 @@ class TestStoreFaults:
         np.testing.assert_array_equal(np.asarray(surface.heights), reference)
         assert store.done.all()
 
-    def test_sigkill_mid_job_then_resume(self, tmp_path, gen, noise):
-        """SIGKILL the whole process in the middle of a serial store job:
-        no manifest write, no writer close.  Resume finishes from the
-        persisted bitmap alone, bit-identical to an uninterrupted run,
-        without rewriting any chunk that bitmap holds."""
+    @pytest.mark.parametrize("caller_store", [True, False],
+                             ids=["store", "no-store"])
+    def test_sigkill_mid_job_then_resume(self, tmp_path, gen, noise,
+                                         caller_store):
+        """SIGKILL the whole process in the middle of a serial job — one
+        writing the caller's store, and one given no store, which writes
+        its checkpoint's own: no manifest write, no writer close.
+        Resume finishes from the persisted bitmap alone, bit-identical
+        to an uninterrupted run, without rewriting any chunk that bitmap
+        holds."""
         plan = TilePlan(total_nx=N, total_ny=N, tile_nx=24, tile_ny=24)
         reference = generate_tiled(gen, noise, plan,
                                    backend="serial").heights
@@ -581,8 +586,9 @@ class TestStoreFaults:
             )
             plan = TilePlan(total_nx=N, total_ny=N,
                             tile_nx=TILE, tile_ny=TILE)
-            store = SurfaceStore.create(store_dir, shape=(N, N),
-                                        chunk=(TILE, TILE))
+            store = (SurfaceStore.create(store_dir, shape=(N, N),
+                                         chunk=(TILE, TILE))
+                     if sys.argv[3] == "store" else None)
             bitmap = Path(store_dir) / BITMAP_NAME
 
             def on_tile(index, tile):
@@ -603,18 +609,20 @@ class TestStoreFaults:
                       store=store, on_tile=on_tile)
             print("NOT KILLED")
         """)
+        ck = tmp_path / "ck"
+        store_dir = tmp_path / "store" if caller_store else ck / "store"
         proc = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "store"),
-             str(tmp_path / "ck")],
+            [sys.executable, "-c", script, str(store_dir), str(ck),
+             "store" if caller_store else "none"],
             capture_output=True, text=True, timeout=120,
             env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent
                                    / "src")},
         )
         assert proc.returncode == -signal.SIGKILL, proc.stdout + proc.stderr
         # the manifest still says running, but its owner pid is gone
-        assert status(tmp_path / "ck")["status"] == "stale"
+        assert status(ck)["status"] == "stale"
         done_before = set(
-            SurfaceStore.open(tmp_path / "store", mode="r").done_indices()
+            SurfaceStore.open(store_dir, mode="r").done_indices()
         )
         assert done_before and len(done_before) < len(plan)
         written = []
@@ -626,15 +634,51 @@ class TestStoreFaults:
 
         SurfaceStore.write_window = spy
         try:
-            surface = resume(tmp_path / "ck", gen, retry=FAST)
+            surface = resume(ck, gen, retry=FAST)
         finally:
             SurfaceStore.write_window = orig
         np.testing.assert_array_equal(np.asarray(surface.heights), reference)
+        # only a job given no store gets its heights back in RAM
+        assert isinstance(surface.heights, np.memmap) is caller_store
         tiles = plan.tiles()
         durable = {(tiles[i].x0, tiles[i].y0) for i in done_before}
         assert durable.isdisjoint(written), "durable chunks were rewritten"
         assert len(written) == len(tiles) - len(done_before)
-        assert status(tmp_path / "ck")["status"] == "complete"
+        assert status(ck)["status"] == "complete"
+
+    def test_moved_storeless_checkpoint_resumes(self, tmp_path, gen, noise,
+                                                plan, reference):
+        """A job given no store records its own store relative to the
+        checkpoint, so a failed checkpoint moved elsewhere resumes
+        there to the same bytes."""
+        fp = FaultPlan.parse(
+            [f"tile=2,attempt={a},kind=raise" for a in (1, 2)]
+        )
+        with pytest.raises(TileFailedError):
+            run_tiled(gen, noise, plan, checkpoint=tmp_path / "ck",
+                      retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
+                      fault_plan=fp)
+        assert status(tmp_path / "ck")["status"] == "failed"
+        moved = tmp_path / "elsewhere" / "ck"
+        moved.parent.mkdir()
+        shutil.move(str(tmp_path / "ck"), str(moved))
+        surface = resume(moved, gen, retry=FAST)
+        assert surface.heights.tobytes() == reference.tobytes()
+        assert surface.provenance["job"]["tiles_resumed"] == 2
+        assert status(moved)["status"] == "complete"
+
+    def test_manifest_without_store_is_rejected(self, tmp_path, gen, noise,
+                                                plan):
+        """A v1 manifest with no ``store`` comes from an in-memory job of
+        an earlier build: resume says so instead of failing to find its
+        heights file."""
+        run_tiled(gen, noise, plan, checkpoint=tmp_path / "ck", retry=FAST)
+        manifest_path = tmp_path / "ck" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["store"]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="re-run the job"):
+            resume(tmp_path / "ck", gen)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cli import VALIDATION_SPECTRA, main
+from repro.cli import EXIT_NOT_GATED, VALIDATION_SPECTRA, main
 from repro.core.convolution import ConvolutionGenerator
 from repro.core.grid import Grid2D
 from repro.core.rng import BlockNoise
@@ -570,6 +570,41 @@ class TestCli:
         assert rc == 0
         assert "verify: PASS" in capsys.readouterr().out
         assert load_report(ck / REPORT_NAME).passed
+
+    def test_verify_storeless_job_checkpoint(self, tmp_path, capsys):
+        """A job run without --store writes its checkpoint's own store,
+        so ``repro verify CKPT`` gates it like any other."""
+        ck = tmp_path / "ck"
+        assert main(["job", "run", "--checkpoint", str(ck)]
+                    + self.BASE) == 0
+        capsys.readouterr()
+        rc = main(["verify", str(ck)])
+        assert rc == 0
+        assert "verify: PASS" in capsys.readouterr().out
+        psd = load_report(ck / REPORT_NAME).metric("psd_band")
+        assert psd.passed is not None
+
+    def test_ungated_store_is_not_a_pass(self, tmp_path, capsys):
+        """A figure layout records no spectrum: every metric is
+        informational, and the CLI says NOT GATED with its own exit
+        code instead of PASS."""
+        store = tmp_path / "S"
+        assert main(["job", "run", "--figure", "fig1", "--n", "128",
+                     "--domain", "256", "--tile", "64",
+                     "--checkpoint", str(tmp_path / "ck"),
+                     "--store", str(store)]) == 0
+        capsys.readouterr()
+        rc = main(["verify", str(store)])
+        out = capsys.readouterr().out
+        assert rc == EXIT_NOT_GATED and rc not in (0, 1)
+        assert "verify: NOT GATED (no target spectrum; give --spec)" in out
+        assert "verify: PASS" not in out
+        assert main(["verify", str(store), "--json"]) == EXIT_NOT_GATED
+        capsys.readouterr()
+        assert main(["job", "run", "--figure", "fig1", "--n", "128",
+                     "--domain", "256", "--tile", "64", "--verify",
+                     "--checkpoint", str(tmp_path / "ck2")]) == EXIT_NOT_GATED
+        assert "verify: NOT GATED" in capsys.readouterr().out
 
     def test_verify_spec_override_can_fail(self, tmp_path, capsys,
                                            big_store):
