@@ -551,8 +551,8 @@ def measure_dist_scaling(workers_counts=(1, 2)) -> dict:
     coordinator/worker runtime once per worker count, each into a fresh
     scratch store.  Workers are real ``python -m repro dist worker``
     subprocesses, so the measurement includes the full distribution tax:
-    process startup, recipe rebuild, socket leases, shared-store
-    writeback, coordinator-side fsync.
+    process startup, generator build from the spec, socket leases,
+    shared-store writeback, coordinator-side fsync.
 
     Each run's heights are hashed so the row also pins the dist
     invariant that matters more than speed: worker count may change
@@ -565,24 +565,27 @@ def measure_dist_scaling(workers_counts=(1, 2)) -> dict:
     _import_repro()
     import numpy as np
 
-    from repro.core.rng import BlockNoise
+    from repro.core.spec import GenerationSpec
     from repro.core.spectra import GaussianSpectrum
     from repro.dist.executor import generate_dist
     from repro.io.store import SurfaceStore
-    from repro.parallel.tiles import TilePlan
 
     n, tile = DIST_SURFACE, DIST_TILE
     spec = GaussianSpectrum(h=1.0, clx=24.0, cly=24.0)
-    rebuild = {
-        "kind": "convolution",
-        "spectrum": spec.to_dict(),
-        "grid": {"nx": 256, "ny": 256, "lx": 256.0, "ly": 256.0},  # dx = 1
-        "truncation": list(OBS_TRUNC),
-        "engine": "fft",
-        "dtype": "float64",
-    }
-    noise = BlockNoise(seed=59)
-    plan = TilePlan(total_nx=n, total_ny=n, tile_nx=tile, tile_ny=tile)
+    run_spec = GenerationSpec(
+        generator={
+            "kind": "convolution",
+            "spectrum": spec.to_dict(),
+            "grid": {"nx": 256, "ny": 256, "lx": 256.0, "ly": 256.0},
+            "truncation": list(OBS_TRUNC),
+            "engine": "fft",
+            "dtype": "float64",
+        },
+        seed=59,
+        plan={"total_nx": n, "total_ny": n,
+              "tile_nx": tile, "tile_ny": tile},
+    )
+    plan = run_spec.tile_plan()
 
     def run(workers: int):
         scratch = tempfile.mkdtemp(prefix="dist-gate-")
@@ -591,8 +594,8 @@ def measure_dist_scaling(workers_counts=(1, 2)) -> dict:
                 Path(scratch) / "s", shape=(n, n), chunk=(tile, tile),
             )
             t0 = time.perf_counter()
-            surface = generate_dist(rebuild, noise, plan, store,
-                                    workers=workers, lease_timeout_s=300.0)
+            surface = generate_dist(run_spec, store, workers=workers,
+                                    lease_timeout_s=300.0)
             elapsed = time.perf_counter() - t0
             digest = hashlib.sha256(
                 np.ascontiguousarray(surface.heights).tobytes()
@@ -655,25 +658,28 @@ def measure_telemetry_overhead() -> dict:
     _import_repro()
     import numpy as np
 
-    from repro.core.rng import BlockNoise
+    from repro.core.spec import GenerationSpec
     from repro.core.spectra import GaussianSpectrum
     from repro.dist.executor import generate_dist
     from repro.io.store import SurfaceStore
-    from repro.parallel.tiles import TilePlan
 
     n, tile = OBS_SURFACE, OBS_TILE
     heartbeat_s = 0.25
     spec = GaussianSpectrum(h=1.0, clx=24.0, cly=24.0)
-    rebuild = {
-        "kind": "convolution",
-        "spectrum": spec.to_dict(),
-        "grid": {"nx": 256, "ny": 256, "lx": 256.0, "ly": 256.0},  # dx = 1
-        "truncation": list(OBS_TRUNC),
-        "engine": "fft",
-        "dtype": "float64",
-    }
-    noise = BlockNoise(seed=61)
-    plan = TilePlan(total_nx=n, total_ny=n, tile_nx=tile, tile_ny=tile)
+    run_spec = GenerationSpec(
+        generator={
+            "kind": "convolution",
+            "spectrum": spec.to_dict(),
+            "grid": {"nx": 256, "ny": 256, "lx": 256.0, "ly": 256.0},
+            "truncation": list(OBS_TRUNC),
+            "engine": "fft",
+            "dtype": "float64",
+        },
+        seed=61,
+        plan={"total_nx": n, "total_ny": n,
+              "tile_nx": tile, "tile_ny": tile},
+    )
+    plan = run_spec.tile_plan()
 
     def run(telemetry: bool):
         scratch = tempfile.mkdtemp(prefix="telemetry-gate-")
@@ -686,9 +692,8 @@ def measure_telemetry_overhead() -> dict:
                 if telemetry else {}
             )
             t0 = time.perf_counter()
-            surface = generate_dist(rebuild, noise, plan, store,
-                                    workers=2, lease_timeout_s=300.0,
-                                    **kwargs)
+            surface = generate_dist(run_spec, store, workers=2,
+                                    lease_timeout_s=300.0, **kwargs)
             elapsed = time.perf_counter() - t0
             digest = hashlib.sha256(
                 np.ascontiguousarray(surface.heights).tobytes()
@@ -698,7 +703,7 @@ def measure_telemetry_overhead() -> dict:
         finally:
             shutil.rmtree(scratch, ignore_errors=True)
 
-    # Warm both modes: worker subprocesses rebuild their plan caches per
+    # Warm both modes: worker subprocesses build their plan caches per
     # run, so the warmup mainly settles the parent-side import state and
     # OS page/file caches the two modes share.
     run(False)

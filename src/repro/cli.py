@@ -382,26 +382,27 @@ def _generate_from_spec(args: argparse.Namespace, spec) -> int:
         )
         _emit_surface(surface, args)
         return 0
-    from .parallel.executor import generate_tiled
-
     store = None
     if spec.store_path:
         try:
             store = spec.create_store()
         except (FileExistsError, ValueError) as exc:
             raise SystemExit(f"--store: {exc}")
-    resilience = {}
-    if spec.faults:
-        from .jobs import FaultPlan, RetryPolicy
+    if args.backend == "dist":
+        from .dist.executor import generate_dist
 
-        resilience = {"retry": RetryPolicy(),
-                      "fault_plan": FaultPlan.from_dicts(spec.faults)}
-    surface = generate_tiled(
-        gen, spec.noise(), spec.tile_plan(),
-        backend=args.backend, workers=args.workers,
-        out=store, rebuild=recipe, telemetry=telemetry or None,
-        **resilience,
-    )
+        surface = generate_dist(spec, store, workers=args.workers or 2,
+                                **telemetry)
+    else:
+        from .jobs import FaultPlan, RetryPolicy
+        from .parallel.executor import generate_tiled
+
+        faults = FaultPlan.from_dicts(spec.faults) if spec.faults else None
+        surface = generate_tiled(
+            gen, spec.noise(), spec.tile_plan(),
+            backend=args.backend, workers=args.workers, out=store,
+            retry=RetryPolicy() if faults else None, fault_plan=faults,
+        )
     surface.provenance.update(provenance)
     _emit_surface(surface, args)
     if store is not None:
@@ -499,6 +500,7 @@ def _cmd_job_run(args: argparse.Namespace) -> int:
     from .core.spec import SpecError
     from .jobs import (FailureBudgetExceeded, PoolRespawnLimit,
                        TileFailedError, run_spec)
+    from .jobs.checkpoint import check_new
 
     if args.spec and args.mode != "tiled":
         raise SystemExit("--spec only supports tiled mode (the plan in "
@@ -515,6 +517,7 @@ def _cmd_job_run(args: argparse.Namespace) -> int:
     retry = _retry_policy_from_args(args)
     store = None
     try:
+        check_new(args.checkpoint)  # before the store: no orphan on refusal
         if spec.store_path:
             store = spec.create_store()
         surface = run_spec(
@@ -593,25 +596,24 @@ def _cmd_dist_coordinator(args: argparse.Namespace) -> int:
     )
     plan = spec.tile_plan()
     if (Path(spec.store_path) / "manifest.json").exists():
-        # resume off the bitmap
+        # resume off the bitmap, if the store holds this run
         store = SurfaceStore.open(spec.store_path, "r+")
-        try:
-            store.validate_plan(plan)
-        except ValueError as exc:
-            raise SystemExit(f"--store: {exc}")
     else:
         store = spec.create_store()
-    coordinator = Coordinator(
-        spec, plan, store,
-        policy=_retry_policy_from_args(args),
-        lease_timeout_s=args.lease_timeout,
-        n_shards=args.workers or 2,
-        host=args.host, port=args.port,
-        persist_every=args.persist_every,
-        run_id=args.run_id,
-        heartbeat_s=args.heartbeat,
-        status_port=args.status_port,
-    )
+    try:
+        coordinator = Coordinator(
+            spec, plan, store,
+            policy=_retry_policy_from_args(args),
+            lease_timeout_s=args.lease_timeout,
+            n_shards=args.workers or 2,
+            host=args.host, port=args.port,
+            persist_every=args.persist_every,
+            run_id=args.run_id,
+            heartbeat_s=args.heartbeat,
+            status_port=args.status_port,
+        )
+    except ValueError as exc:  # e.g. the store holds another run
+        raise SystemExit(f"dist coordinator: {exc}")
     host, port = coordinator.start()
     print(f"dist coordinator listening on {host}:{port}", flush=True)
     status_addr = coordinator.status_address
@@ -957,13 +959,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     spectrum = None
     if args.spec:
-        spec = _load_spec(args.spec)
-        recipe = (spec.generator or {}).get("spectrum")
-        if not isinstance(recipe, dict):
+        spectrum = _load_spec(args.spec).spectrum
+        if spectrum is None:
             raise SystemExit("verify: --spec document carries no spectrum")
-        from .core.spectra import spectrum_from_dict
-
-        spectrum = spectrum_from_dict(recipe)
 
     config = VerifyConfig(segment=args.segment, psd_bins=args.psd_bins,
                           n_sigma=args.n_sigma)

@@ -326,7 +326,7 @@ def apply_kernel_valid_fft(
     Notes
     -----
     Results are a pure function of ``(kernel, noise, block shape,
-    dtype)`` — cache hits, misses, and rebuilds in other processes
+    dtype)`` — cache hits, misses, and fresh builds in other processes
     produce bit-identical output, so all executor backends agree
     exactly.
     """

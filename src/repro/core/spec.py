@@ -1,12 +1,11 @@
 """``GenerationSpec``: the one canonical "what to generate" encoding.
 
-Before this module the repo had three divergent descriptions of a
-generation run — CLI argparse namespaces, the ``rebuild`` recipes
-:mod:`repro.jobs` checkpoints, and the dist wire's own run document —
-that all said the same thing with different spellings.  :class:`GenerationSpec` collapses them: a
-versioned (``repro.spec/v1``), JSON-round-trippable, *declarative*
-value that the CLI, the jobs layer, the dist protocol and the
-:mod:`repro.serve` front door all construct and consume.
+A :class:`GenerationSpec` is a versioned (``repro.spec/v1``),
+JSON-round-trippable, *declarative* value that the CLI, the jobs layer,
+the dist protocol and the :mod:`repro.serve` front door all construct
+and consume.  It is the run's identity: stores and job checkpoints
+record the whole document, and a store recording another run is
+refused (:meth:`GenerationSpec.check_store`).
 
 Design rules:
 
@@ -44,7 +43,7 @@ SPEC_SCHEMA = "repro.spec/v1"
 #: Height-delivery modes for distributed execution (see repro.dist).
 ACCESS_MODES = ("shared", "ship")
 
-#: Generator recipe kinds understood by repro.jobs.generator_from_rebuild.
+#: Generator recipe kinds :meth:`GenerationSpec.build_generator` builds.
 GENERATOR_KINDS = ("convolution", "figure")
 
 _PLAN_KEYS = ("total_nx", "total_ny", "tile_nx", "tile_ny")
@@ -122,6 +121,19 @@ def _validate_plan(plan: Any) -> None:
              "unknown plan key")
 
 
+def _truncation(recipe: Dict[str, Any], default: float) -> Any:
+    """The recipe's truncation; a ``(kx, ky)`` footprint comes back from
+    JSON as a list, which ``resolve_kernel`` would misread as a fraction."""
+    truncation = recipe.get("truncation", default)
+    if isinstance(truncation, list):
+        if len(truncation) != 2:
+            raise ValueError(
+                f"truncation list must have two entries, got {truncation!r}"
+            )
+        return (truncation[0], truncation[1])
+    return truncation
+
+
 @dataclass(frozen=True)
 class GenerationSpec:
     """Versioned, declarative description of one generation run.
@@ -129,10 +141,9 @@ class GenerationSpec:
     Attributes
     ----------
     generator:
-        The generator recipe — the same JSON ``rebuild`` recipes
-        :mod:`repro.jobs` checkpoints and the dist protocol ships
-        (``kind: convolution`` with spectrum/grid/truncation, or
-        ``kind: figure`` with name/n/domain).
+        The generator recipe (``kind: convolution`` with
+        spectrum/grid/truncation, or ``kind: figure`` with
+        name/n/domain) that :meth:`build_generator` builds.
     seed:
         The :class:`~repro.core.rng.BlockNoise` seed.  Together with
         ``generator`` and ``plan`` it pins the output bytes.
@@ -205,12 +216,22 @@ class GenerationSpec:
         g = self.generator["grid"]
         return Grid2D(nx=g["nx"], ny=g["ny"], lx=g["lx"], ly=g["ly"])
 
+    @property
+    def spectrum(self):
+        """The recipe's target :class:`~repro.core.spectra.Spectrum`, or
+        ``None`` when it has none (a figure layout)."""
+        if self.generator["kind"] != "convolution":
+            return None
+        from .spectra import spectrum_from_dict
+
+        return spectrum_from_dict(self.generator["spectrum"])
+
     def create_store(self, path=None):
         """Create the :class:`~repro.io.store.SurfaceStore` this spec's
         run writes: at ``path`` (default ``store_path``), one chunk per
-        tile, the recipe's sample spacing, and the seed plus the
-        spectrum recipe (when there is one) as ``meta`` — what
-        ``repro verify STORE`` gates against."""
+        tile, the recipe's sample spacing, the plan's origin, and this
+        spec document as ``meta["spec"]`` — what ``repro verify STORE``
+        gates against and :meth:`check_store` compares."""
         from ..io.store import SurfaceStore
 
         _require(self.plan is not None, "plan",
@@ -218,14 +239,38 @@ class GenerationSpec:
         path = path if path is not None else self.store_path
         _require(bool(path), "store_path", "no store path given")
         plan, grid = self.plan, self.grid
-        meta: Dict[str, Any] = {"seed": self.seed}
-        if isinstance(self.generator.get("spectrum"), dict):
-            meta["spectrum"] = self.generator["spectrum"]
         return SurfaceStore.create(
             path, shape=(plan["total_nx"], plan["total_ny"]),
             chunk=(plan["tile_nx"], plan["tile_ny"]),
-            dx=grid.dx, dy=grid.dy, meta=meta,
+            dx=grid.dx, dy=grid.dy,
+            origin=(plan.get("origin_x", 0), plan.get("origin_y", 0)),
+            meta={"spec": self.to_dict()},
         )
+
+    def _identity(self) -> Dict[str, Any]:
+        """What pins the heights (recipe, seed, plan, noise block), with
+        defaults filled in and in its JSON form, so a recorded document
+        compares equal."""
+        plan = self.plan and {"origin_x": 0, "origin_y": 0, **self.plan}
+        return json.loads(json.dumps({
+            "generator": self.generator, "seed": self.seed,
+            "plan": plan, "noise_block": self.noise().block,
+        }))
+
+    def check_store(self, store) -> None:
+        """Raise :class:`SpecError` when ``store`` records another run
+        (only the seed can be compared with a store of an earlier
+        build), whose tiles this run's must not be welded onto."""
+        meta = store.manifest.get("meta") or {}
+        if "spec" in meta:
+            theirs = GenerationSpec.from_dict(meta["spec"])._identity()
+        else:
+            theirs = {"seed": meta.get("seed", self.seed)}
+        ours = self._identity()
+        for key, value in theirs.items():
+            _require(ours[key] == value, key,
+                     f"store {store.path} holds a run with {key} "
+                     f"{value!r}, not {ours[key]!r}")
 
     def tile_plan(self):
         """The spec's :class:`~repro.parallel.tiles.TilePlan` (or None)."""
@@ -245,15 +290,27 @@ class GenerationSpec:
         return BlockNoise(**kwargs)
 
     def build_generator(self):
-        """Reconstruct the generator the recipe describes.
+        """The generator the recipe describes — the one builder shared
+        by local runs, job resume, the dist workers and serve."""
+        recipe = self.generator
+        engine = recipe.get("engine", "auto")
+        dtype = recipe.get("dtype", "float64")
+        if recipe["kind"] == "convolution":
+            from .convolution import ConvolutionGenerator
 
-        Delegates to :func:`repro.jobs.runner.generator_from_rebuild`
-        — the single rebuild implementation shared by checkpoints, the
-        dist workers and the serve front door.
-        """
-        from ..jobs.runner import generator_from_rebuild
+            return ConvolutionGenerator(
+                self.spectrum, self.grid,
+                truncation=_truncation(recipe, 0.9999),
+                engine=engine, dtype=dtype,
+            )
+        from ..figures import figure_layout
+        from .inhomogeneous import InhomogeneousGenerator
 
-        return generator_from_rebuild(self.generator)
+        return InhomogeneousGenerator(
+            figure_layout(recipe["name"], recipe["domain"]), self.grid,
+            truncation=_truncation(recipe, 0.999),
+            engine=engine, dtype=dtype,
+        )
 
     def with_plan(self, tile: int) -> "GenerationSpec":
         """This spec with a square tiling of edge ``tile`` samples."""

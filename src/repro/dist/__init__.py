@@ -13,12 +13,13 @@ design is the smallest thing that is actually a distributed system:
   :class:`~repro.jobs.retry.RetryPolicy` backoff;
 - a coordinator (:mod:`~repro.dist.coordinator`) that owns the ledger
   and merges per-worker obs payloads;
-- stateless workers (:mod:`~repro.dist.worker`) that rebuild the
-  generator from its recipe and write straight into the shared store
-  (or ship heights over the socket);
+- stateless workers (:mod:`~repro.dist.worker`) that build the
+  generator from the run's :class:`~repro.core.spec.GenerationSpec`
+  and write straight into the shared store (or ship heights over the
+  socket);
 - :func:`~repro.dist.executor.generate_dist`, the localhost
-  supervisor exposed as ``backend="dist"`` on
-  :func:`repro.parallel.executor.generate_tiled`.
+  supervisor that runs a spec into a store (``--backend dist`` on
+  ``generate`` and ``job run``).
 
 Correctness rests on the same two invariants as every other backend:
 tile values are pure functions of ``(recipe, seed, tile)``, and the

@@ -63,7 +63,9 @@ class Coordinator:
 
     ``serve`` raises the same exceptions as the single-host resilient
     executor (:class:`TileFailedError`, :class:`FailureBudgetExceeded`)
-    so :mod:`repro.jobs` handles both paths identically.
+    so :mod:`repro.jobs` handles both paths identically.  A ``store``
+    that records another run than ``spec`` is refused with a
+    :class:`~repro.core.spec.SpecError` before anything is written.
     """
 
     def __init__(
@@ -86,6 +88,7 @@ class Coordinator:
         status_host: str = "127.0.0.1",
     ) -> None:
         store.validate_plan(plan)
+        spec.check_store(store)  # never continue another run's store
         if not store.owns_ledger:
             raise ValueError(
                 "the coordinator must own the store ledger "

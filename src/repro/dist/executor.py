@@ -30,16 +30,15 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
 from .. import obs
-from ..core.rng import BlockNoise
 from ..core.surface import Surface
 from ..io.store import SurfaceStore
 from ..jobs.retry import RetryPolicy
 from ..parallel.executor import PoolRespawnLimit
-from ..parallel.tiles import TilePlan
 from ..core.spec import GenerationSpec
 from .coordinator import Coordinator
 
@@ -69,14 +68,11 @@ def worker_environment() -> Dict[str, str]:
 
 
 def generate_dist(
-    rebuild: Dict[str, Any],
-    noise: BlockNoise,
-    plan: TilePlan,
+    spec: GenerationSpec,
     store: SurfaceStore,
     *,
     workers: int = 2,
     retry: Optional[RetryPolicy] = None,
-    fault_plan: Optional[Any] = None,
     lease_timeout_s: float = 30.0,
     persist_every: int = 8,
     on_tile: Optional[Callable[[int, Any], None]] = None,
@@ -85,14 +81,15 @@ def generate_dist(
     heartbeat_s: Optional[float] = None,
     status_port: Optional[int] = None,
 ) -> Surface:
-    """Generate ``plan`` into ``store`` with ``workers`` local worker
-    processes scheduled by a lease coordinator.
+    """Generate ``spec`` (which must have a plan) into ``store`` with
+    ``workers`` local worker processes scheduled by a lease coordinator.
 
-    ``rebuild`` is the generator recipe (see
-    :func:`repro.jobs.runner.generator_from_rebuild`) — the dist path
-    ships recipes, never live generators, which is both what makes it
-    host-agnostic and what guarantees workers rebuild the exact
-    configuration the recipe fingerprints.
+    The dist path ships the spec, never a live generator, which is both
+    what makes it host-agnostic and what guarantees every worker builds
+    the exact configuration the spec describes.  Faults to inject
+    travel in ``spec.faults``; the store path, ``access="shared"`` and
+    the obs switch are set here.  A ``store`` recording another run is
+    refused before any worker starts.
 
     Chunks already marked done in the store's bitmap are not
     recomputed, so calling this on a partially-written store *is*
@@ -100,25 +97,14 @@ def generate_dist(
 
     Returns a :class:`Surface` whose heights are the store's read-only
     memmap; bit-identical to the single-host tiled backends for the
-    same ``(rebuild, seed, plan)``.
+    same spec.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    plan = spec.tile_plan()
     policy = retry if retry is not None else RetryPolicy()
-    spec = GenerationSpec(
-        generator=rebuild,
-        seed=noise.seed,
-        noise_block=getattr(noise, "block", None),
-        plan={
-            "total_nx": plan.total_nx, "total_ny": plan.total_ny,
-            "tile_nx": plan.tile_nx, "tile_ny": plan.tile_ny,
-            "origin_x": plan.origin_x, "origin_y": plan.origin_y,
-        },
-        store_path=str(Path(store.path).resolve()),
-        access="shared",
-        obs=obs.enabled(),
-        faults=list(fault_plan.to_dicts()) if fault_plan is not None else [],
-    )
+    spec = replace(spec, store_path=str(Path(store.path).resolve()),
+                   access="shared", obs=obs.enabled())
     coordinator = Coordinator(
         spec, plan, store,
         policy=policy, lease_timeout_s=lease_timeout_s,
@@ -151,7 +137,7 @@ def generate_dist(
         "method": "tiled",
         "backend": "dist",
         "tiles": len(plan),
-        "noise_seed": noise.seed,
+        "noise_seed": spec.seed,
         "plan_cache": summary["plan_cache"],
         "dist": {
             "workers": workers,

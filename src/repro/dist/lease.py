@@ -13,7 +13,7 @@ with a fake clock.  Per tile index it tracks one of four states::
 
 The *bitmap is the ledger*: ``done`` is the live
 :attr:`repro.io.store.SurfaceStore.done` array, so completion marks are
-exactly the marks the store persists, a restarted coordinator rebuilds
+exactly the marks the store persists, a restarted coordinator derives
 PENDING as the bitmap's complement (:meth:`SurfaceStore.pending_indices`),
 and a chunk can never be both "needs work" and "trust the bytes on
 disk".  Duplicate completions — a straggler finishing after its lease

@@ -1,10 +1,10 @@
 """The dist worker: a stateless tile computer driven by lease grants.
 
 A worker connects, says hello, receives the run's
-:class:`~repro.core.spec.GenerationSpec`, rebuilds the generator from
-its recipe (the same ``rebuild`` recipes :mod:`repro.jobs` checkpoints
-— values are pure functions of the recipe, seed and tile, so any
-worker anywhere computes identical bytes), then
+:class:`~repro.core.spec.GenerationSpec`, builds the generator from it
+(the same spec :mod:`repro.jobs` checkpoints record — values are pure
+functions of the recipe, seed and tile, so any worker anywhere computes
+identical bytes), then
 loops: request a lease, compute the tile, deliver the heights, report.
 
 Height delivery follows ``spec.access``: ``shared`` workers open the
@@ -278,6 +278,6 @@ def _compute_with_heartbeats(
 
 
 def _materialise(spec: GenerationSpec) -> Tuple[Any, BlockNoise, list]:
-    """Rebuild the generator/noise/tiles a run spec describes."""
+    """Build the generator/noise/tiles a run spec describes."""
     generator = spec.build_generator()
     return generator, spec.noise(), spec.tile_plan().tiles()

@@ -3,13 +3,15 @@
 A checkpoint is a directory holding one atomically-written file,
 ``manifest.json``: everything needed to *re-derive* the run — the tile
 plan, the noise plane's seed and block size, backend/workers, the retry
-policy, a fingerprint of the generator's stable configuration, an
-optional ``rebuild`` recipe (how the CLI can reconstruct the generator
-from spectrum/figure parameters), retry/respawn accounting, an
-observability counter snapshot, and the job status (``running`` /
-``failed`` / ``complete``).  A ``running`` manifest also names its
-``owner`` (host and pid), so :meth:`JobCheckpoint.summary` reports a
-job whose process is gone as ``stale``.
+policy, a fingerprint of the generator's stable configuration, the
+run's :class:`~repro.core.spec.GenerationSpec` document (``"spec"``,
+which :func:`repro.jobs.resume` builds the generator from), retry/
+respawn accounting, an observability counter snapshot, and the job
+status (``running`` / ``failed`` / ``complete``).  A ``running``
+manifest also names its ``owner`` (host and pid), so
+:meth:`JobCheckpoint.summary` reports a job whose process is gone as
+``stale``.  :meth:`JobCheckpoint.load` reads a manifest of an earlier
+build, which holds a bare generator recipe, as a spec.
 
 Every job writes its heights into a :class:`repro.io.store.SurfaceStore`
 whose chunk grid is the tile plan: the caller's (``store=`` on
@@ -45,6 +47,7 @@ import numpy as np
 
 from .. import obs
 from ..core.rng import BlockNoise
+from ..core.spec import GenerationSpec
 from ..io.atomic import atomic_write_json
 from ..io.store import SurfaceStore
 from ..parallel.tiles import TilePlan
@@ -120,28 +123,29 @@ class JobCheckpoint:
         workers: Optional[int],
         retry: Optional[RetryPolicy],
         generator: Any,
-        rebuild: Optional[dict] = None,
+        spec: Optional[GenerationSpec] = None,
         store: Optional[SurfaceStore] = None,
     ) -> "JobCheckpoint":
-        """Start a job at ``path``.  Without ``store`` the job writes its
-        heights into a new store of its own under ``path/store``."""
-        path = Path(path)
-        if (path / MANIFEST_NAME).exists():
-            raise FileExistsError(
-                f"checkpoint already exists at {path}; use "
-                f"repro.jobs.resume() (or delete it) instead of "
-                f"starting a new job there"
-            )
+        """Start a job at ``path`` recording ``spec`` (if the run has
+        one).  Without ``store`` the job writes its heights into a new
+        store of its own under ``path/store``."""
+        path = check_new(path)
         if store is None:
-            grid = generator.grid
-            store = SurfaceStore.create(
-                path / STORE_DIR, shape=(plan.total_nx, plan.total_ny),
-                chunk=(plan.tile_nx, plan.tile_ny), dx=grid.dx, dy=grid.dy,
-                origin=(plan.origin_x, plan.origin_y),
-            )
+            if spec is not None:
+                store = spec.create_store(path / STORE_DIR)
+            else:
+                grid = generator.grid
+                store = SurfaceStore.create(
+                    path / STORE_DIR, shape=(plan.total_nx, plan.total_ny),
+                    chunk=(plan.tile_nx, plan.tile_ny),
+                    dx=grid.dx, dy=grid.dy,
+                    origin=(plan.origin_x, plan.origin_y),
+                )
             store_path = STORE_DIR
         else:
             store.validate_plan(plan)  # tile index must equal chunk index
+            if spec is not None:
+                spec.check_store(store)
             path.mkdir(parents=True, exist_ok=True)
             store_path = str(Path(store.path).resolve())
         manifest: Dict[str, Any] = {
@@ -162,7 +166,7 @@ class JobCheckpoint:
                 "type": type(generator).__name__,
                 "fingerprint": generator_fingerprint(generator),
             },
-            "rebuild": rebuild,
+            "spec": spec.to_dict() if spec is not None else None,
             "progress": {"tiles_total": len(plan), "tiles_done": 0},
             "resilience": None,
             "obs_counters": None,
@@ -195,6 +199,13 @@ class JobCheckpoint:
                 f"wrote it for an in-memory job, whose heights this build "
                 f"cannot read; re-run the job"
             )
+        if "spec" not in manifest:  # an earlier build's, read once
+            recipe = manifest.pop("rebuild", None)
+            manifest["spec"] = recipe and GenerationSpec(
+                generator=recipe, seed=manifest["noise"]["seed"],
+                noise_block=manifest["noise"].get("block"),
+                plan=manifest["plan"],
+            ).to_dict()
         # heights + done live in the store; the bitmap — written only
         # after each durable chunk write — is authoritative.  A relative
         # path is the job's own store, inside this (movable) directory.
@@ -210,6 +221,13 @@ class JobCheckpoint:
         return not Path(self.manifest["store"]["path"]).is_absolute()
 
     # -- derived pieces ----------------------------------------------------
+    @property
+    def spec(self) -> Optional[GenerationSpec]:
+        """The run's spec, or ``None`` for a job started from a live
+        generator (which :func:`repro.jobs.resume` must be given)."""
+        data = self.manifest.get("spec")
+        return GenerationSpec.from_dict(data) if data else None
+
     @property
     def plan(self) -> TilePlan:
         return _plan_from_manifest(self.manifest)
@@ -277,10 +295,23 @@ class JobCheckpoint:
             "backend": self.manifest.get("backend"),
             "noise": self.manifest.get("noise"),
             "generator": self.manifest.get("generator"),
+            "spec": self.manifest.get("spec"),
             "resilience": self.manifest.get("resilience"),
             "error": self.manifest.get("error"),
             "store": self.manifest["store"],
         }
+
+
+def check_new(path: PathLike) -> Path:
+    """``path``, unless a job checkpoint is already there."""
+    path = Path(path)
+    if (path / MANIFEST_NAME).exists():
+        raise FileExistsError(
+            f"checkpoint already exists at {path}; use "
+            f"repro.jobs.resume() (or delete it) instead of "
+            f"starting a new job there"
+        )
+    return path
 
 
 def _owner_alive(owner: Optional[Dict[str, Any]]) -> bool:

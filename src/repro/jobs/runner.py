@@ -40,12 +40,12 @@ from ..core.rng import BlockNoise
 from ..core.surface import Surface
 from ..parallel.executor import generate_tiled
 from ..parallel.tiles import TilePlan
-from .checkpoint import STORE_DIR, JobCheckpoint, generator_fingerprint
+from .checkpoint import (STORE_DIR, JobCheckpoint, check_new,
+                         generator_fingerprint)
 from .faults import FaultPlan
 from .retry import RetryPolicy
 
-__all__ = ["run_tiled", "run_spec", "resume", "status",
-           "generator_from_rebuild"]
+__all__ = ["run_tiled", "run_spec", "resume", "status"]
 
 PathLike = Union[str, Path]
 
@@ -92,13 +92,24 @@ def _execute(
     } if obs.enabled() else None)
     try:
         with span:
-            surface = generate_tiled(
-                generator, noise, plan,
-                backend=backend, workers=workers,
-                retry=policy, fault_plan=fault_plan,
-                out=ckpt.store, skip=skip, on_tile=on_tile,
-                rebuild=ckpt.manifest.get("rebuild"),
-            )
+            if backend == "dist":
+                # dist workers build the generator from the job's spec
+                from ..dist.executor import generate_dist  # imports jobs
+
+                if ckpt.spec is None:
+                    raise ValueError("backend 'dist' runs the job's spec; "
+                                     "this job records none")
+                surface = generate_dist(dataclasses.replace(
+                    ckpt.spec, faults=fault_plan.to_dicts()
+                    if fault_plan is not None else []), ckpt.store,
+                    workers=workers or 2, retry=policy, on_tile=on_tile)
+            else:
+                surface = generate_tiled(
+                    generator, noise, plan,
+                    backend=backend, workers=workers,
+                    retry=policy, fault_plan=fault_plan,
+                    out=ckpt.store, skip=skip, on_tile=on_tile,
+                )
     except BaseException as exc:
         ckpt.manifest["error"] = repr(exc)
         ckpt.write(status="failed")
@@ -146,7 +157,6 @@ def run_tiled(
     workers: Optional[int] = None,
     retry: Optional[RetryPolicy] = None,
     fault_plan: Optional[FaultPlan] = None,
-    rebuild: Optional[dict] = None,
     store: Optional[Any] = None,
     on_tile: Optional[Any] = None,
 ) -> Surface:
@@ -154,9 +164,9 @@ def run_tiled(
 
     Parameters mirror :func:`repro.parallel.executor.generate_tiled`;
     additionally ``checkpoint`` names a fresh directory for the durable
-    state, and ``rebuild`` optionally records a recipe (spectrum or
-    figure parameters) from which :func:`resume` can reconstruct the
-    generator when the caller cannot pass one.  Heights stream to a
+    state.  A job started from a live generator records no spec, so
+    :func:`resume` must be given the generator again
+    (:func:`run_spec` records one).  Heights stream to a
     store whose chunk grid equals the plan: ``store`` (a
     :class:`repro.io.store.SurfaceStore`, left open, and the returned
     surface holds its read-only memmap), or else one the checkpoint
@@ -170,72 +180,13 @@ def run_tiled(
     ckpt = JobCheckpoint.create(
         checkpoint, kind="tiled", plan=plan, noise=noise,
         backend=backend, workers=workers, retry=policy,
-        generator=generator, rebuild=rebuild, store=store,
+        generator=generator, store=store,
     )
     return _execute(
         ckpt, generator, noise, plan,
         backend=backend, workers=workers, retry=policy,
         fault_plan=fault_plan, resumed=False, on_tile=on_tile,
     )
-
-
-def _rebuild_truncation(rebuild: dict, default: float) -> Any:
-    """The recipe's truncation spec, repaired after JSON round-trips.
-
-    A fixed-footprint truncation is a ``(kx, ky)`` *tuple*, which JSON
-    (checkpoint manifests, the dist wire) returns as a list —
-    ``resolve_kernel`` dispatches on ``isinstance(..., tuple)``, so the
-    list must be coerced back or it would be misread as an energy
-    fraction and crash.
-    """
-    truncation = rebuild.get("truncation", default)
-    if isinstance(truncation, list):
-        if len(truncation) != 2:
-            raise ValueError(
-                f"truncation list must have two entries, got {truncation!r}"
-            )
-        return (truncation[0], truncation[1])
-    return truncation
-
-
-def generator_from_rebuild(rebuild: Optional[dict]) -> Any:
-    """Reconstruct a generator from a ``rebuild`` recipe.
-
-    Recipes are the JSON descriptions checkpoint manifests record and
-    the dist protocol ships: enough to rebuild the generator with a
-    matching fingerprint in any process on any host.
-    """
-    if not rebuild:
-        raise ValueError(
-            "checkpoint records no rebuild recipe; pass generator= to "
-            "resume()"
-        )
-    kind = rebuild.get("kind")
-    if kind == "convolution":
-        from ..core.convolution import ConvolutionGenerator
-        from ..core.grid import Grid2D
-        from ..core.spectra import spectrum_from_dict
-
-        g = rebuild["grid"]
-        return ConvolutionGenerator(
-            spectrum_from_dict(rebuild["spectrum"]),
-            Grid2D(nx=g["nx"], ny=g["ny"], lx=g["lx"], ly=g["ly"]),
-            truncation=_rebuild_truncation(rebuild, 0.9999),
-            engine=rebuild.get("engine", "auto"),
-            dtype=rebuild.get("dtype", "float64"),
-        )
-    if kind == "figure":
-        from ..core.inhomogeneous import InhomogeneousGenerator
-        from ..figures import default_grid, figure_layout
-
-        grid = default_grid(rebuild["n"], rebuild["domain"])
-        layout = figure_layout(rebuild["name"], rebuild["domain"])
-        return InhomogeneousGenerator(
-            layout, grid, truncation=_rebuild_truncation(rebuild, 0.999),
-            engine=rebuild.get("engine", "auto"),
-            dtype=rebuild.get("dtype", "float64"),
-        )
-    raise ValueError(f"unknown rebuild kind {kind!r}")
 
 
 def run_spec(
@@ -254,15 +205,16 @@ def run_spec(
     checkpointed tiled job.
 
     The spec is the single source of truth: generator, noise plane and
-    tile plan are all materialised from it, its recipe is recorded as
-    the checkpoint's ``rebuild``, and — when ``store`` is not passed
-    explicitly — a ``spec.store_path`` creates the out-of-core sink
-    through :meth:`~repro.core.spec.GenerationSpec.create_store` (left
-    open: closing fsyncs the whole heights file); with neither, the job
-    writes the checkpoint's own store, as in :func:`run_tiled`.  Any
-    two calls with an equal spec produce bit-identical heights on every
-    backend; this is what ``job run`` (flags or ``--spec``) and the
-    ``repro.serve`` front door run.
+    tile plan are all materialised from it, and it is recorded as the
+    checkpoint's ``"spec"``.  When ``store`` is not passed explicitly,
+    a ``spec.store_path`` creates the out-of-core sink through
+    :meth:`~repro.core.spec.GenerationSpec.create_store` (left open:
+    closing fsyncs the whole heights file) once the checkpoint is known
+    to be new; with neither, the job writes the checkpoint's own store,
+    as in :func:`run_tiled`.  Any two calls with an equal spec produce
+    bit-identical heights on every backend, ``"dist"`` included; this
+    is what ``job run`` (flags or ``--spec``) and the ``repro.serve``
+    front door run.
 
     ``verify=True`` runs the :mod:`repro.verify` streaming pass after
     generation, gating the job's store against the spec's spectrum.  The
@@ -277,27 +229,29 @@ def run_spec(
         raise SpecError("plan", "spec-driven jobs are tiled; give the "
                                 "spec a plan (or a 'tile' shorthand)")
     generator = spec.build_generator()
+    check_new(checkpoint)
     if store is None and spec.store_path:
         store = spec.create_store()
+    policy = retry if retry is not None else RetryPolicy()
     if fault_plan is None and spec.faults:
         fault_plan = FaultPlan.from_dicts(spec.faults)
-    surface = run_tiled(
-        generator, spec.noise(), spec.tile_plan(),
-        checkpoint=checkpoint, backend=backend, workers=workers,
-        retry=retry, fault_plan=fault_plan,
-        rebuild=spec.generator, store=store, on_tile=on_tile,
+    plan, noise = spec.tile_plan(), spec.noise()
+    ckpt = JobCheckpoint.create(
+        checkpoint, kind="tiled", plan=plan, noise=noise,
+        backend=backend, workers=workers, retry=policy,
+        generator=generator, spec=spec, store=store,
+    )
+    surface = _execute(
+        ckpt, generator, noise, plan,
+        backend=backend, workers=workers, retry=policy,
+        fault_plan=fault_plan, resumed=False, on_tile=on_tile,
     )
     if verify:
         from ..verify import REPORT_NAME, verify_store, write_report
 
-        spectrum = None
-        if isinstance(spec.generator.get("spectrum"), dict):
-            from ..core.spectra import spectrum_from_dict
-
-            spectrum = spectrum_from_dict(spec.generator["spectrum"])
         report = verify_store(
             store if store is not None
-            else Path(checkpoint) / STORE_DIR, spectrum)
+            else Path(checkpoint) / STORE_DIR, spec.spectrum)
         write_report(report, Path(checkpoint) / REPORT_NAME)
         surface.provenance["verify"] = report.to_dict()
     return surface
@@ -319,14 +273,19 @@ def resume(
     Loads the checkpoint, skips completed tiles, recomputes the rest
     (on ``backend`` if given, else the recorded one — the choice cannot
     change the values) and returns the completed surface.  When
-    ``generator`` is omitted the manifest's ``rebuild`` recipe is used;
-    when it is given and ``check_generator`` is true, its fingerprint
+    ``generator`` is omitted it is built from the recorded spec; when
+    it is given and ``check_generator`` is true, its fingerprint
     must match the recorded one — resuming under a different
     configuration would silently weld two different surfaces together.
     """
     ckpt = JobCheckpoint.load(path)
     if generator is None:
-        generator = generator_from_rebuild(ckpt.manifest.get("rebuild"))
+        if ckpt.spec is None:
+            raise ValueError(
+                "checkpoint records no spec (the job was started from a "
+                "live generator); pass generator= to resume()"
+            )
+        generator = ckpt.spec.build_generator()
     elif check_generator:
         recorded = (ckpt.manifest.get("generator") or {}).get("fingerprint")
         actual = generator_fingerprint(generator)

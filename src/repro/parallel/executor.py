@@ -678,14 +678,14 @@ class _ResilientRun:
                 finally:
                     pool.shutdown(wait=True, cancel_futures=True)
                 if broken and self.pending:
-                    self.respawns += 1
-                    if obs.enabled():
-                        obs.add("executor.pool_respawns")
-                    if self.respawns > self.policy.max_respawns:
+                    if self.respawns >= self.policy.max_respawns:
                         raise cf.BrokenExecutor(
                             "process pool kept breaking; respawn budget "
                             f"({self.policy.max_respawns}) spent"
                         )
+                    self.respawns += 1
+                    if obs.enabled():
+                        obs.add("executor.pool_respawns")
         finally:
             shm.close()
             shm.unlink()
@@ -703,8 +703,6 @@ def generate_tiled(
     out: Optional[np.ndarray] = None,
     skip: Optional[Iterable[int]] = None,
     on_tile: Optional[Callable[[int, Tile], None]] = None,
-    rebuild: Optional[dict] = None,
-    telemetry: Optional[dict] = None,
 ) -> Surface:
     """Generate a large surface tile-by-tile.
 
@@ -719,12 +717,11 @@ def generate_tiled(
     plan:
         Tile decomposition covering the desired output.
     backend:
-        ``"serial"``, ``"thread"``, ``"process"`` (see module
-        docstring for the trade-offs) or ``"dist"`` — worker
-        *processes* scheduled by a lease coordinator over a socket
-        (:func:`repro.dist.executor.generate_dist`; requires ``out``
-        to be a :class:`~repro.io.store.SurfaceStore` and a
-        ``rebuild`` recipe, since live generators cannot cross hosts).
+        ``"serial"``, ``"thread"`` or ``"process"`` (see module
+        docstring for the trade-offs).  A multi-process run over a
+        socket is :func:`repro.dist.executor.generate_dist`, which
+        takes a :class:`~repro.core.spec.GenerationSpec` instead of a
+        live generator.
     workers:
         Pool size for the parallel backends (default
         :func:`default_workers`).
@@ -763,18 +760,6 @@ def generate_tiled(
         queue; durable completion is what the store's own bitmap
         records, so checkpoints must trust the bitmap, not this hook
         (``repro.jobs`` does).
-    rebuild:
-        Generator recipe (as checkpointed by :mod:`repro.jobs`) for
-        the ``dist`` backend, whose workers rebuild the generator in
-        their own processes instead of receiving this one.  Ignored by
-        the single-host backends.
-    telemetry:
-        ``dist``-backend live-telemetry options forwarded to
-        :func:`repro.dist.executor.generate_dist`: ``run_id``,
-        ``heartbeat_s`` (periodic worker heartbeat frames) and
-        ``status_port`` (coordinator HTTP ``/metrics``/``/status``/
-        ``/health``).  Rejected for the single-host backends, which
-        have no coordinator to serve it.
 
     Returns
     -------
@@ -788,39 +773,11 @@ def generate_tiled(
         When the retry policy's budgets are spent.  Without a policy,
         the failing tile's own exception or ``BrokenProcessPool``.
     """
-    if backend not in ("serial", "thread", "process", "dist"):
+    if backend not in ("serial", "thread", "process"):
         raise ValueError(
-            f"unknown backend {backend!r}; "
-            f"expected serial|thread|process|dist"
-        )
-    if backend == "dist":
-        if not (out is not None and hasattr(out, "write_window")
-                and hasattr(out, "chunk_shape")):
-            raise ValueError(
-                "backend='dist' needs out= to be a SurfaceStore: the "
-                "store's chunk bitmap is the distributed completion "
-                "ledger"
-            )
-        if rebuild is None:
-            raise ValueError(
-                "backend='dist' needs a rebuild= recipe: workers run in "
-                "separate processes (possibly other hosts) and rebuild "
-                "the generator themselves"
-            )
-        from ..dist.executor import generate_dist  # local: avoid cycle
-
-        # skip= is redundant here — done chunks are already marked in
-        # the store bitmap, which is exactly what the ledger consults
-        return generate_dist(
-            rebuild, noise, plan, out,
-            workers=workers or 2, retry=retry,
-            fault_plan=fault_plan, on_tile=on_tile,
-            **(telemetry or {}),
-        )
-    if telemetry:
-        raise ValueError(
-            "telemetry= (heartbeats/status server) is a dist-backend "
-            f"option; backend {backend!r} has no coordinator to serve it"
+            f"unknown backend {backend!r}; expected serial|thread|process "
+            f"(a dist run writes a SurfaceStore through "
+            f"repro.dist.generate_dist)"
         )
     grid = generator.grid  # type: ignore[attr-defined]
     # Duck-typed out-of-core target (repro.io.store.SurfaceStore): the

@@ -603,15 +603,10 @@ class SurfaceService:
         with self._lock:
             if job.verify_report is not None:
                 return job.verify_report
-        from ..core.spectra import spectrum_from_dict
         from ..verify import (REPORT_NAME, verify_heights, verify_store,
                               write_report)
 
-        spectrum = None
-        recipe = job.spec.generator.get("spectrum") \
-            if isinstance(job.spec.generator, dict) else None
-        if isinstance(recipe, dict):
-            spectrum = spectrum_from_dict(recipe)
+        spectrum = job.spec.spectrum
         if job.store_dir is not None:
             report = verify_store(self._reader(job), spectrum)
             if job.checkpoint_dir is not None:

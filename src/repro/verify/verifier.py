@@ -564,8 +564,8 @@ def verify_store(
     """Verify a (complete) on-disk store without materialising it.
 
     The requested spectrum is taken from the ``spectrum`` argument, or —
-    when omitted — recovered from the recipe the generator recorded in
-    the store manifest's ``meta["spectrum"]``.  With neither available
+    when omitted — from the spec the store records in ``meta["spec"]``
+    (or an older store's ``meta["spectrum"]``).  With neither available
     the report carries measurements only and gates nothing.
     """
     opened = None
@@ -579,6 +579,8 @@ def verify_store(
                 "finish or resume the job before verifying"
             )
         meta = store.manifest.get("meta") or {}
+        if "spec" in meta:  # else a store of an earlier build: seed+spectrum
+            meta = {**meta["spec"]["generator"], "seed": meta["spec"]["seed"]}
         if spectrum is None and isinstance(meta.get("spectrum"), dict):
             spectrum = spectrum_from_dict(meta["spectrum"])
         dx = float(store.manifest["dx"])
@@ -603,24 +605,27 @@ def verify_job(
 
     Reads the checkpoint manifest for the store path (every job has
     one: a relative path is the job's own store inside the checkpoint)
-    and, unless ``spectrum`` is given, the rebuild recipe's spectrum.
+    and, unless ``spectrum`` is given, the recorded spec's spectrum.
     """
+    from ..jobs.checkpoint import JobCheckpoint  # jobs imports verify
+
     ckpt = Path(checkpoint)
     manifest_path = ckpt / "manifest.json"
     if not manifest_path.is_file():
         raise VerifyError(f"no job manifest at {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
-    store_ref = manifest.get("store")
+    store_ref = json.loads(manifest_path.read_text()).get("store")
     if not store_ref or "path" not in store_ref:
         raise VerifyError(
             f"job at {ckpt} is not store-backed: its manifest records "
             "no store; re-run the job"
         )
-    if spectrum is None:
-        recipe = (manifest.get("rebuild") or {}).get("spectrum")
-        if isinstance(recipe, dict):
-            spectrum = spectrum_from_dict(recipe)
-    return verify_store(ckpt / store_ref["path"], spectrum, config=config)
+    job = JobCheckpoint.load(ckpt)
+    try:
+        if spectrum is None and job.spec is not None:
+            spectrum = job.spec.spectrum
+        return verify_store(job.store, spectrum, config=config)
+    finally:
+        job.store.close()
 
 
 # -- report persistence ----------------------------------------------------

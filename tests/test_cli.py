@@ -171,7 +171,7 @@ class TestJobCommand:
         st = json.loads(capsys.readouterr().out)
         assert st["status"] == "failed"
         assert 0 < st["tiles_done"] < st["tiles_total"]
-        # resume rebuilds the generator from the manifest recipe
+        # resume builds the generator from the spec in the manifest
         assert main(["job", "resume", str(ck),
                      "--npz", str(resumed)]) == 0
         assert np.array_equal(load_surface(ref).heights,
@@ -218,6 +218,28 @@ class TestJobCommand:
         assert main(["job", "run", "--checkpoint", str(ck)] + self.BASE) == 0
         with pytest.raises(SystemExit):
             main(["job", "run", "--checkpoint", str(ck)] + self.BASE)
+
+    def test_refused_run_creates_no_store(self, tmp_path, capsys):
+        # the checkpoint is checked before the store is created, so a
+        # retry with a fresh --checkpoint can still use the same --store
+        ck, store = tmp_path / "ck", tmp_path / "S"
+        assert main(["job", "run", "--checkpoint", str(ck)] + self.BASE) == 0
+        with pytest.raises(SystemExit, match="already exists"):
+            main(["job", "run", "--checkpoint", str(ck),
+                  "--store", str(store)] + self.BASE)
+        assert not store.exists()
+        assert main(["job", "run", "--checkpoint", str(tmp_path / "ck2"),
+                     "--store", str(store)] + self.BASE) == 0
+
+    def test_status_reports_the_spec(self, tmp_path, capsys):
+        ck = tmp_path / "ck"
+        assert main(["job", "run", "--checkpoint", str(ck)] + self.BASE) == 0
+        capsys.readouterr()
+        assert main(["job", "status", str(ck)]) == 0
+        spec = json.loads(capsys.readouterr().out)["spec"]
+        assert spec["seed"] == 5
+        assert spec["generator"]["kind"] == "convolution"
+        assert spec["plan"]["tile_nx"] == 24
 
     def test_status_missing_checkpoint(self, tmp_path):
         with pytest.raises(SystemExit):

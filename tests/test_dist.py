@@ -285,7 +285,7 @@ def _problem(n, tile, seed, cl=20.0):
     grid = Grid2D(nx=n, ny=n, lx=float(n), ly=float(n))
     spectrum = GaussianSpectrum(h=1.0, clx=cl, cly=cl)
     gen = ConvolutionGenerator(spectrum, grid, truncation=0.9999)
-    rebuild = {
+    recipe = {
         "kind": "convolution",
         "spectrum": spectrum.to_dict(),
         "grid": {"nx": n, "ny": n, "lx": float(n), "ly": float(n)},
@@ -294,7 +294,17 @@ def _problem(n, tile, seed, cl=20.0):
         "dtype": "float64",
     }
     plan = TilePlan(total_nx=n, total_ny=n, tile_nx=tile, tile_ny=tile)
-    return gen, rebuild, BlockNoise(seed=seed), plan, grid
+    return gen, recipe, BlockNoise(seed=seed), plan, grid
+
+
+def _spec(recipe, noise, plan, **fields):
+    """The run spec ``generate_dist`` takes for ``_problem``'s pieces."""
+    return GenerationSpec(
+        generator=recipe, seed=noise.seed,
+        plan={"total_nx": plan.total_nx, "total_ny": plan.total_ny,
+              "tile_nx": plan.tile_nx, "tile_ny": plan.tile_ny},
+        **fields,
+    )
 
 
 def _store_for(tmp_path, name, n, tile, grid):
@@ -308,11 +318,12 @@ class TestDistEndToEnd:
     def test_two_workers_bit_identical_to_serial_2048(self, tmp_path):
         """The headline gate: a 2048^2 run sharded over two
         process-isolated workers equals the single-host tiled path."""
-        gen, rebuild, noise, plan, grid = _problem(2048, 256, seed=11, cl=8.0)
+        gen, recipe, noise, plan, grid = _problem(2048, 256, seed=11, cl=8.0)
         ref = generate_tiled(gen, noise, plan, backend="serial")
         store = _store_for(tmp_path, "dist2048", 2048, 256, grid)
         try:
-            surface = generate_dist(rebuild, noise, plan, store, workers=2)
+            surface = generate_dist(_spec(recipe, noise, plan), store,
+                                    workers=2)
             assert np.array_equal(np.asarray(surface.heights), ref.heights)
             dist = surface.provenance["dist"]
             assert dist["workers"] == 2
@@ -322,37 +333,41 @@ class TestDistEndToEnd:
         finally:
             store.close()
 
-    def test_backend_dist_via_generate_tiled(self, tmp_path):
-        gen, rebuild, noise, plan, grid = _problem(128, 64, seed=5)
+    def test_backend_dist_via_run_spec(self, tmp_path):
+        """``backend="dist"`` lives on the job layer, which hands the
+        checkpoint's spec to ``generate_dist``."""
+        from repro.jobs import run_spec
+
+        gen, recipe, noise, plan, grid = _problem(128, 64, seed=5)
         ref = generate_tiled(gen, noise, plan, backend="serial")
         store = _store_for(tmp_path, "viabackend", 128, 64, grid)
         try:
-            surface = generate_tiled(
-                gen, noise, plan, backend="dist", workers=2,
-                out=store, rebuild=rebuild,
+            surface = run_spec(
+                _spec(recipe, noise, plan), checkpoint=tmp_path / "ck",
+                backend="dist", workers=2, store=store,
             )
             assert np.array_equal(np.asarray(surface.heights), ref.heights)
             assert surface.provenance["backend"] == "dist"
         finally:
             store.close()
 
-    def test_backend_dist_requires_store_and_rebuild(self):
-        gen, rebuild, noise, plan, _grid = _problem(64, 32, seed=1)
+    def test_generate_tiled_has_no_dist_backend(self):
+        gen, recipe, noise, plan, _grid = _problem(64, 32, seed=1)
         with pytest.raises(ValueError, match="SurfaceStore"):
-            generate_tiled(gen, noise, plan, backend="dist", rebuild=rebuild)
+            generate_tiled(gen, noise, plan, backend="dist")
 
     def test_kill_one_worker_relesases_without_double_writes(self, tmp_path):
         """Crash drill: a kill fault takes down a real worker process
         mid-run; the run completes via re-lease and every chunk is
         completed exactly once (bitmap + completion audit)."""
-        gen, rebuild, noise, plan, grid = _problem(128, 32, seed=9)
+        gen, recipe, noise, plan, grid = _problem(128, 32, seed=9)
         ref = generate_tiled(gen, noise, plan, backend="serial")
         store = _store_for(tmp_path, "killdrill", 128, 32, grid)
         fault = FaultPlan([FaultSpec(tile=3, attempt=1, kind="kill")])
         try:
             surface = generate_dist(
-                rebuild, noise, plan, store, workers=2, fault_plan=fault,
-                lease_timeout_s=15.0,
+                _spec(recipe, noise, plan, faults=fault.to_dicts()), store,
+                workers=2, lease_timeout_s=15.0,
             )
             assert np.array_equal(np.asarray(surface.heights), ref.heights)
             lease = surface.provenance["dist"]["lease"]
@@ -369,12 +384,12 @@ class TestDistEndToEnd:
     def test_resume_off_bitmap_skips_done_chunks(self, tmp_path):
         """A second coordinator over a half-finished store leases only
         the bitmap's complement and lands bit-identical."""
-        gen, rebuild, noise, plan, grid = _problem(128, 32, seed=4)
+        gen, recipe, noise, plan, grid = _problem(128, 32, seed=4)
         ref = generate_tiled(gen, noise, plan, backend="serial")
         store = _store_for(tmp_path, "resume", 128, 32, grid)
         # first pass: one in-process worker computes half the tiles
         half = len(plan) // 2
-        spec = GenerationSpec(generator=rebuild, seed=4,
+        spec = GenerationSpec(generator=recipe, seed=4,
                               plan={"total_nx": 128, "total_ny": 128,
                                     "tile_nx": 32, "tile_ny": 32},
                               store_path=str(store.path), access="shared")
@@ -397,7 +412,7 @@ class TestDistEndToEnd:
         try:
             assert reopened.done.sum() == half
             remaining = len(plan) - half
-            surface = generate_dist(rebuild, noise, plan, reopened,
+            surface = generate_dist(_spec(recipe, noise, plan), reopened,
                                     workers=2)
             lease = surface.provenance["dist"]["lease"]
             assert lease["granted"] == remaining
@@ -409,10 +424,10 @@ class TestDistEndToEnd:
     def test_ship_mode_bit_identical(self, tmp_path):
         """``access="ship"``: workers have no store; heights travel as
         binary frames and the coordinator writes them."""
-        gen, rebuild, noise, plan, grid = _problem(96, 32, seed=6)
+        gen, recipe, noise, plan, grid = _problem(96, 32, seed=6)
         ref = generate_tiled(gen, noise, plan, backend="serial")
         store = _store_for(tmp_path, "shipmode", 96, 32, grid)
-        spec = GenerationSpec(generator=rebuild, seed=6,
+        spec = GenerationSpec(generator=recipe, seed=6,
                               plan={"total_nx": 96, "total_ny": 96,
                                     "tile_nx": 32, "tile_ny": 32},
                               access="ship", store_path=None)
@@ -439,20 +454,21 @@ class TestDistEndToEnd:
     def test_kernel_halo_exceeding_tile_size(self, tmp_path):
         """Tiny tiles under a large kernel (halo > tile edge on both
         axes) still shard and reassemble bit-identically."""
-        gen, rebuild, noise, plan, grid = _problem(64, 16, seed=8, cl=20.0)
+        gen, recipe, noise, plan, grid = _problem(64, 16, seed=8, cl=20.0)
         assert max(gen.kernel.shape) > 16  # the premise: halo > tile
         ref = generate_tiled(gen, noise, plan, backend="serial")
         store = _store_for(tmp_path, "bighalo", 64, 16, grid)
         try:
-            surface = generate_dist(rebuild, noise, plan, store, workers=2)
+            surface = generate_dist(_spec(recipe, noise, plan), store,
+                                    workers=2)
             assert np.array_equal(np.asarray(surface.heights), ref.heights)
         finally:
             store.close()
 
     def test_protocol_mismatch_is_refused(self, tmp_path):
-        gen, rebuild, noise, plan, grid = _problem(64, 32, seed=2)
+        gen, recipe, noise, plan, grid = _problem(64, 32, seed=2)
         store = _store_for(tmp_path, "mismatch", 64, 32, grid)
-        spec = GenerationSpec(generator=rebuild, seed=2,
+        spec = GenerationSpec(generator=recipe, seed=2,
                               plan={"total_nx": 64, "total_ny": 64,
                                     "tile_nx": 32, "tile_ny": 32},
                               store_path=str(store.path), access="shared")
@@ -476,9 +492,9 @@ class TestDistEndToEnd:
             self, tmp_path, monkeypatch):
         """A worker accepted just as the run ends must not crash the
         shutdown: a handler is listed for joining only once started."""
-        gen, rebuild, noise, plan, grid = _problem(64, 32, seed=2)
+        gen, recipe, noise, plan, grid = _problem(64, 32, seed=2)
         store = _store_for(tmp_path, "late", 64, 32, grid)
-        spec = GenerationSpec(generator=rebuild, seed=2,
+        spec = GenerationSpec(generator=recipe, seed=2,
                               plan={"total_nx": 64, "total_ny": 64,
                                     "tile_nx": 32, "tile_ny": 32},
                               store_path=str(store.path), access="shared")
@@ -505,6 +521,46 @@ class TestDistEndToEnd:
                 coord.serve(timeout=5.0)
             store.close()
         assert listed_at_start == [False]
+
+
+class TestStoreHoldsOneRun:
+    """A run with another spec than the one a store records is refused
+    before anything is written, so no tiles of two surfaces are welded
+    into one store."""
+
+    FLAGS = ["--cl", "20", "--n", "64", "--domain", "64", "--tile", "32"]
+
+    def test_coordinator_refuses_another_seed(self, tmp_path, capsys):
+        from repro.cli import main
+
+        store = tmp_path / "S"
+        assert main(["generate", *self.FLAGS, "--seed", "7",
+                     "--store", str(store)]) == 0
+        before = {name: (store / name).read_bytes()
+                  for name in ("chunks.npy", "manifest.json")}
+        with pytest.raises(SystemExit) as exc:
+            main(["dist", "coordinator", *self.FLAGS, "--seed", "8",
+                  "--store", str(store), "--port", "0"])
+        assert "seed" in str(exc.value)
+        assert before == {name: (store / name).read_bytes()
+                          for name in before}
+
+    def test_generate_dist_and_jobs_refuse_another_seed(self, tmp_path):
+        from repro.core.spec import SpecError
+        from repro.jobs import run_spec
+
+        _gen, recipe, noise, plan, _grid = _problem(64, 32, seed=3)
+        store = _spec(recipe, noise, plan).create_store(tmp_path / "S")
+        other = _spec(recipe, BlockNoise(seed=4), plan)
+        try:
+            with pytest.raises(SpecError, match="seed"):
+                generate_dist(other, store, workers=1)
+            with pytest.raises(SpecError, match="seed"):
+                run_spec(other, checkpoint=tmp_path / "ck", store=store)
+            assert not (tmp_path / "ck" / "manifest.json").exists()
+            assert not store.done.any()
+        finally:
+            store.close()
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import pytest
 from repro.core.convolution import ConvolutionGenerator
 from repro.core.grid import Grid2D
 from repro.core.rng import BlockNoise
+from repro.core.spec import GenerationSpec
 from repro.core.spectra import GaussianSpectrum
 from repro.jobs import (
     FailureBudgetExceeded,
@@ -29,6 +30,7 @@ from repro.jobs import (
     TileFailedError,
     generator_fingerprint,
     resume,
+    run_spec,
     run_tiled,
     status,
     strip_plan,
@@ -198,7 +200,7 @@ class TestResilientExecutor:
         assert np.array_equal(out.heights, reference)
         res = out.provenance["resilience"]
         assert res["degraded_to"] == "thread"
-        assert res["respawns"] == 2
+        assert res["respawns"] == 1
 
     def test_no_degrade_raises(self, gen, noise, plan):
         fp = FaultPlan.of(*(FaultSpec(tile=1, attempt=a, kind="kill")
@@ -208,6 +210,27 @@ class TestResilientExecutor:
         with pytest.raises(PoolRespawnLimit):
             generate_tiled(gen, noise, plan, backend="process", workers=2,
                            retry=policy, fault_plan=fp)
+
+    @pytest.mark.parametrize("max_respawns", [0, 1])
+    def test_respawns_count_respawns_not_breaks(self, gen, noise, plan,
+                                                reference, max_respawns):
+        # every pool break past the budget ends the process backend; a
+        # break the budget covers is one respawn — never one more
+        fp = FaultPlan.of(*(FaultSpec(tile=1, attempt=a, kind="kill")
+                            for a in range(1, 8)))
+        strict = RetryPolicy(backoff_base=0.0, max_respawns=max_respawns,
+                             degrade=False)
+        with pytest.raises(PoolRespawnLimit,
+                           match=rf"after {max_respawns} respawn\(s\)"):
+            generate_tiled(gen, noise, plan, backend="process", workers=2,
+                           retry=strict, fault_plan=fp)
+        out = generate_tiled(
+            gen, noise, plan, backend="process", workers=2,
+            retry=RetryPolicy(backoff_base=0.0, max_respawns=max_respawns),
+            fault_plan=fp)
+        assert np.array_equal(out.heights, reference)
+        assert out.provenance["resilience"]["respawns"] == max_respawns
+        assert out.provenance["resilience"]["degraded_to"] == "thread"
 
     def test_skip_preserves_out(self, gen, noise, plan, reference):
         # Skipped tiles must keep whatever ``out`` already holds — the
@@ -395,25 +418,47 @@ class TestResumeDeterminism:
 
     def test_resume_from_rebuild_recipe(self, tmp_path, gen, noise, plan,
                                         reference):
+        """A checkpoint written before jobs recorded their spec holds a
+        bare ``rebuild`` recipe (and its store no spec); it still
+        resumes, to the same bytes, and is rewritten once in the
+        current shape."""
+        spec = GenerationSpec(
+            generator={
+                "kind": "convolution",
+                "spectrum": gen.spectrum.to_dict(),
+                "grid": {"nx": N, "ny": N, "lx": float(N), "ly": float(N)},
+                "engine": gen.engine,
+            },
+            seed=noise.seed,
+            plan={"total_nx": N, "total_ny": N,
+                  "tile_nx": TILE, "tile_ny": TILE},
+        )
         fp = FaultPlan.of(*(FaultSpec(tile=2, attempt=a)
                             for a in range(1, 4)))
         path = tmp_path / "job"
-        rebuild = {
-            "kind": "convolution",
-            "spectrum": gen.spectrum.to_dict(),
-            "grid": {"nx": N, "ny": N, "lx": float(N), "ly": float(N)},
-            "engine": gen.engine,
-        }
         with pytest.raises(TileFailedError):
-            run_tiled(gen, noise, plan, checkpoint=path, retry=FAST,
-                      fault_plan=fp, rebuild=rebuild)
-        surface = resume(path)  # generator reconstructed from the manifest
+            run_spec(spec, checkpoint=path, retry=FAST, fault_plan=fp)
+        manifest_path = path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["rebuild"] = manifest.pop("spec")["generator"]
+        manifest_path.write_text(json.dumps(manifest))
+        store_manifest = path / "store" / "manifest.json"
+        doc = json.loads(store_manifest.read_text())
+        doc["meta"] = {}
+        store_manifest.write_text(json.dumps(doc))
+        assert 0 < status(path)["tiles_done"] < len(plan)
+
+        surface = resume(path)  # generator built from the legacy recipe
         assert np.array_equal(surface.heights, reference)
+        manifest = json.loads(manifest_path.read_text())
+        assert "rebuild" not in manifest
+        assert manifest["spec"]["generator"] == spec.generator
+        assert manifest["spec"]["seed"] == noise.seed
 
     def test_resume_without_recipe_needs_generator(self, tmp_path, gen,
                                                    noise, plan):
         path = self._interrupt(tmp_path, gen, noise, plan)
-        with pytest.raises(ValueError, match="rebuild"):
+        with pytest.raises(ValueError, match="records no spec"):
             resume(path)
 
     def test_float32_job_resumes_bit_identical(self, tmp_path, noise,

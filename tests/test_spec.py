@@ -185,6 +185,67 @@ class TestDerivedViews:
         assert gen.spectrum.to_dict()["kind"] == "gaussian"
 
 
+class TestStoreRecordsTheSpec:
+    """A store records the spec that wrote it; ``check_store`` refuses
+    a run that would continue another run's store."""
+
+    def test_create_store_records_the_spec(self, tmp_path):
+        spec = conv_spec()
+        store = spec.create_store(tmp_path / "s")
+        assert store.manifest["meta"] == {"spec": spec.to_dict()}
+        assert GenerationSpec.from_dict(store.manifest["meta"]["spec"]) \
+            == spec
+
+    def test_same_run_passes_whatever_its_delivery(self, tmp_path):
+        store = conv_spec().create_store(tmp_path / "s")
+        conv_spec(store_path="elsewhere", access="ship",
+                  faults=[{"tile": 0, "attempt": 1}]).check_store(store)
+        # the default noise block, spelled out, is the same noise plane
+        conv_spec(noise_block=conv_spec().noise().block).check_store(store)
+
+    @pytest.mark.parametrize("override, field_path", [
+        ({"seed": 6}, "seed"),
+        ({"noise_block": 32}, "noise_block"),
+        ({"plan": {"total_nx": 64, "total_ny": 64,
+                   "tile_nx": 32, "tile_ny": 32, "origin_x": 32}}, "plan"),
+    ])
+    def test_another_run_is_refused(self, tmp_path, override, field_path):
+        store = conv_spec().create_store(tmp_path / "s")
+        with pytest.raises(SpecError) as exc:
+            conv_spec(**override).check_store(store)
+        assert exc.value.field == field_path
+
+    def test_another_recipe_is_refused(self, tmp_path):
+        store = conv_spec().create_store(tmp_path / "s")
+        other = conv_spec().generator | {"truncation": [16, 16]}
+        with pytest.raises(SpecError, match="generator"):
+            conv_spec(generator=other).check_store(store)
+
+    def test_json_round_trip_is_the_same_run(self, tmp_path):
+        # a tuple truncation comes back from the manifest as a list
+        gen = conv_spec().generator | {"truncation": (16, 16)}
+        store = conv_spec(generator=gen).create_store(tmp_path / "s")
+        conv_spec(generator=gen).check_store(store)
+
+    def test_legacy_store_compares_the_seed(self, tmp_path):
+        from repro.io.store import SurfaceStore
+
+        store = SurfaceStore.create(tmp_path / "s", shape=(64, 64),
+                                    chunk=(32, 32), meta={"seed": 5})
+        conv_spec().check_store(store)
+        with pytest.raises(SpecError, match="seed"):
+            conv_spec(seed=7).check_store(store)
+        bare = SurfaceStore.create(tmp_path / "b", shape=(64, 64),
+                                   chunk=(32, 32))
+        conv_spec(seed=7).check_store(bare)
+
+    def test_spectrum(self):
+        assert conv_spec().spectrum.to_dict()["kind"] == "gaussian"
+        figure = {"kind": "figure", "name": "fig1", "n": 32,
+                  "domain": 64.0}
+        assert conv_spec(generator=figure, plan=None).spectrum is None
+
+
 class TestWireEdges:
     """The dist welcome frame: delivery modes and malformed payloads."""
 

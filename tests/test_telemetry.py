@@ -438,7 +438,7 @@ def _problem(n, tile, seed, cl=8.0):
     grid = Grid2D(nx=n, ny=n, lx=float(n), ly=float(n))
     spectrum = GaussianSpectrum(h=1.0, clx=cl, cly=cl)
     gen = ConvolutionGenerator(spectrum, grid, truncation=0.9999)
-    rebuild = {
+    recipe = {
         "kind": "convolution",
         "spectrum": spectrum.to_dict(),
         "grid": {"nx": n, "ny": n, "lx": float(n), "ly": float(n)},
@@ -447,7 +447,17 @@ def _problem(n, tile, seed, cl=8.0):
         "dtype": "float64",
     }
     plan = TilePlan(total_nx=n, total_ny=n, tile_nx=tile, tile_ny=tile)
-    return gen, rebuild, BlockNoise(seed=seed), plan, grid
+    return gen, recipe, BlockNoise(seed=seed), plan, grid
+
+
+def _spec(recipe, noise, plan, **fields):
+    """The run spec ``generate_dist`` takes for ``_problem``'s pieces."""
+    return GenerationSpec(
+        generator=recipe, seed=noise.seed,
+        plan={"total_nx": plan.total_nx, "total_ny": plan.total_ny,
+              "tile_nx": plan.tile_nx, "tile_ny": plan.tile_ny},
+        **fields,
+    )
 
 
 def _store_for(tmp_path, name, n, tile, grid):
@@ -463,12 +473,12 @@ class TestLiveTelemetry:
         ``/metrics`` + ``/status`` + ``/health`` while computing, emits
         structured events, and the final document accounts for every
         tile."""
-        gen, rebuild, noise, plan, grid = _problem(128, 32, seed=21)
+        gen, recipe, noise, plan, grid = _problem(128, 32, seed=21)
         store = _store_for(tmp_path, "live", 128, 32, grid)
         # one delayed tile keeps the run in flight long enough that the
         # mid-run scrapes below observe real progress deterministically
         slow = FaultSpec(tile=15, attempt=1, kind="delay", delay_s=0.5)
-        spec = GenerationSpec(generator=rebuild, seed=21,
+        spec = GenerationSpec(generator=recipe, seed=21,
                               plan={"total_nx": 128, "total_ny": 128,
                                     "tile_nx": 32, "tile_ny": 32},
                               store_path=str(store.path), access="shared",
@@ -564,20 +574,21 @@ class TestLiveTelemetry:
     def test_heights_bit_identical_telemetry_on_vs_off(self, tmp_path):
         """The obs contract on the dist path: heartbeats + status
         server may cost milliseconds, never bits."""
-        gen, rebuild, noise, plan, grid = _problem(128, 32, seed=23)
+        gen, recipe, noise, plan, grid = _problem(128, 32, seed=23)
         ref = generate_tiled(gen, noise, plan, backend="serial")
 
         store_off = _store_for(tmp_path, "off", 128, 32, grid)
         try:
-            off = generate_dist(rebuild, noise, plan, store_off, workers=2)
+            off = generate_dist(_spec(recipe, noise, plan), store_off,
+                                workers=2)
             heights_off = np.array(off.heights)
         finally:
             store_off.close()
 
         store_on = _store_for(tmp_path, "on", 128, 32, grid)
         try:
-            on = generate_dist(rebuild, noise, plan, store_on, workers=2,
-                               heartbeat_s=0.05, status_port=0,
+            on = generate_dist(_spec(recipe, noise, plan), store_on,
+                               workers=2, heartbeat_s=0.05, status_port=0,
                                run_id="r-gate")
             heights_on = np.array(on.heights)
             dist_prov = on.provenance["dist"]
@@ -593,13 +604,13 @@ class TestLiveTelemetry:
         """Worker drains ride both heartbeat and complete frames; the
         partition must never double- or under-count: merged tile
         counters equal the plan size exactly, run after run."""
-        gen, rebuild, noise, plan, grid = _problem(96, 32, seed=25)
+        gen, recipe, noise, plan, grid = _problem(96, 32, seed=25)
         totals = []
         for attempt in range(2):
             store = _store_for(tmp_path, f"det{attempt}", 96, 32, grid)
             try:
                 with obs.recording() as rec:
-                    generate_dist(rebuild, noise, plan, store, workers=2,
+                    generate_dist(_spec(recipe, noise, plan), store, workers=2,
                                   heartbeat_s=0.05)
                     counters = rec.metrics.counters()
             finally:
@@ -665,7 +676,7 @@ class TestTopCommand:
         assert json.loads(capsys.readouterr().out) == doc
 
     def test_top_store_fallback_reads_the_bitmap(self, tmp_path, capsys):
-        gen, rebuild, noise, plan, grid = _problem(64, 32, seed=27)
+        gen, recipe, noise, plan, grid = _problem(64, 32, seed=27)
         store = _store_for(tmp_path, "topstore", 64, 32, grid)
         store.close()
         rc = cli_main(["top", "--store", str(tmp_path / "topstore"),
