@@ -100,8 +100,9 @@ Also times a serial 4096^2 run from a ``GenerationSpec`` to a verified
 store (``run_spec(..., verify=True)``; 512^2 tiles, 129^2 kernel, 256^2
 noise blocks) under tracing and reads the noise plane's own ``rng.*``
 counters.  Fails when the run draws more than ``NOISE_MAX_BLOCKS_DRAWN``
-(576) noise blocks — a count, not a time, so the row does not move with
-machine speed — or when the surface fails its verification report.  Recorded in
+(324, one draw per distinct block) noise blocks — a count, not a time,
+so the row does not move with machine speed — or when the surface fails
+its verification report.  Recorded in
 ``benchmarks/out/noise_reuse.json``; ``--skip-noise-reuse`` skips it.
 
 Usage (CI tier-2, after running the benches)::
@@ -1063,12 +1064,12 @@ def measure_verify_overhead() -> dict:
     }
 
 
-#: Noise blocks the noise-reuse row's run may draw: one per block a tile's
-#: window does not share with the previous tile's.  Only meaningful for
-#: the geometry ``measure_noise_reuse`` fixes: 4096^2 in 512^2 tiles,
-#: 129^2 kernel, 256^2 blocks (64 windows of 4x4 blocks, 324 distinct
-#: blocks).
-NOISE_MAX_BLOCKS_DRAWN = 576
+#: Noise blocks the noise-reuse row's run may draw: one per distinct
+#: block, since the serial loop plans its tiles' reads and keeps each
+#: block until the last tile that reads it.  Only meaningful for the
+#: geometry ``measure_noise_reuse`` fixes: 4096^2 in 512^2 tiles, 129^2
+#: kernel, 256^2 blocks (64 windows of 4x4 blocks, 324 distinct blocks).
+NOISE_MAX_BLOCKS_DRAWN = 324
 
 
 def measure_noise_reuse() -> dict:
@@ -1076,9 +1077,12 @@ def measure_noise_reuse() -> dict:
     noise draws.
 
     Each 512^2 tile reads a 640^2 halo window spanning 4x4 noise blocks
-    of 256^2: 64 windows of 16 blocks.  The serial loop's helper thread
-    draws most of them ahead of the tile (``rng.prefetch``); its draws
-    count in ``rng.blocks_drawn`` with the tiles' own.  The row records
+    of 256^2: 64 windows of 16 blocks, 324 distinct ones.  The serial
+    loop registers these windows with the plane, which keeps each block
+    until the last tile that reads it, so each is drawn once.  The
+    loop's helper thread draws most of them ahead of the tile
+    (``rng.prefetch``); its draws count in ``rng.blocks_drawn`` with the
+    tiles' own.  The row records
     the run's wall time, the plane's ``rng.*`` counters and its
     ``rng.noise`` and ``rng.prefetch`` spans.  Only the count is gated.
     """

@@ -29,11 +29,13 @@ This module provides:
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -50,8 +52,9 @@ __all__ = [
 ]
 
 #: Byte bound on one :class:`BlockNoise` plane's block cache.  The cache
-#: holds the blocks of each reading thread's most recent window, but
-#: never more full float64 blocks than fit in this many bytes.
+#: holds the blocks a read plan still needs and those of each reading
+#: thread's most recent window, but never more full float64 blocks than
+#: fit in this many bytes.
 BLOCK_CACHE_BYTES = 64 * 2**20
 
 SeedLike = Union[None, int, np.random.SeedSequence, np.random.Generator]
@@ -164,13 +167,18 @@ class BlockNoise:
     unbounded), enabling convolution halos that extend left/below the
     origin.
 
-    Each plane keeps a small least-recently-used cache of the blocks it
-    drew, sized to the block count of the most recent window (with
-    several threads reading, of each live thread's most recent window)
-    and capped at :data:`BLOCK_CACHE_BYTES`.  Row-major tiles
-    overlap their predecessor's halo, so the next tile reuses the blocks
-    they share instead of redrawing them.  Values never depend on the
-    cache: every block is a pure function of its key.  Cached blocks
+    Each plane caches the blocks it drew, capped at
+    :data:`BLOCK_CACHE_BYTES`.  A reader that knows its windows ahead
+    (the serial tile loop) registers them with :meth:`plan_reads`: each
+    block of that plan stays cached until the last planned window that
+    reads it, and is evicted right after that read, so a plan draws each
+    of its blocks once.  Blocks no plan needs are kept least recently
+    used, sized to the block count of the most recent window (with
+    several threads reading, of each live thread's most recent window):
+    row-major tiles overlap their predecessor's halo, so the next tile
+    reuses the blocks they share instead of redrawing them.  Values
+    never depend on the cache: every block is a pure function of its
+    key.  Cached blocks
     are read-only; :meth:`window` always returns a fresh array.  The
     cache belongs to this instance: a pickled plane carries only
     ``(seed, block)``, and threads may share one plane.  A block two
@@ -208,6 +216,9 @@ class BlockNoise:
         # blocks some thread is drawing right now, set when the draw ends
         self._drawing: "dict[Tuple[int, int], threading.Event]" = {}
         self._max_blocks = max(1, BLOCK_CACHE_BYTES // (8 * self.block**2))
+        # planned reads still to come per block of the current read
+        # plan; 0 once a planned block's last read is done
+        self._reads_left: "Dict[Tuple[int, int], int]" = {}
         # block count of each live thread's latest window on this plane
         self._readers: "weakref.WeakKeyDictionary[threading.Thread, int]" = (
             weakref.WeakKeyDictionary())
@@ -226,12 +237,15 @@ class BlockNoise:
         gen = np.random.Generator(np.random.Philox(seed=ss))
         return gen.standard_normal((self.block, self.block))
 
-    def _cached_block(self, bx: int, by: int) -> Tuple[np.ndarray, bool]:
+    def _cached_block(self, bx: int, by: int, ahead: bool = False
+                      ) -> Tuple[Optional[np.ndarray], bool]:
         """Block ``(bx, by)`` and whether this call drew it.
 
         Draws happen outside the lock.  A block another thread is
         drawing is waited for, not drawn again; if that draw fails, the
-        waiting thread draws the block itself.
+        waiting thread draws the block itself.  A read ``ahead`` of its
+        reader skips (returns ``None`` for) a planned block whose last
+        planned read is already done.
         """
         key = (bx, by)
         while True:
@@ -240,6 +254,8 @@ class BlockNoise:
                 if vals is not None:
                     self._cache.move_to_end(key)
                     return vals, False
+                if ahead and self._reads_left.get(key) == 0:
+                    return None, False
                 drawing = self._drawing.get(key)
                 if drawing is None:
                     drawing = self._drawing[key] = threading.Event()
@@ -253,22 +269,42 @@ class BlockNoise:
                 del self._drawing[key]
                 if vals is not None:
                     self._cache[key] = vals
-                    self._trim(self._max_blocks)
+                    while len(self._cache) > self._max_blocks:
+                        self._cache.popitem(last=False)
             drawing.set()
         return vals, True
 
     def _trim(self, capacity: int) -> None:
-        """Evict least-recently-used blocks down to ``capacity`` (lock held)."""
-        while len(self._cache) > capacity:
-            self._cache.popitem(last=False)
+        """Evict least-recently-used blocks no read plan still needs
+        until at most ``capacity`` of them remain (lock held)."""
+        spare = [key for key in self._cache if not self._reads_left.get(key)]
+        for key in spare[:max(0, len(spare) - capacity)]:
+            del self._cache[key]
+
+    def _retire(self, bxs: range, bys: range) -> None:
+        """Count one read of each planned block of a window; evict a
+        block once its planned reads are done (lock held)."""
+        if not self._reads_left:
+            return
+        for key in itertools.product(bxs, bys):
+            left = self._reads_left.get(key)
+            if left is not None:
+                self._reads_left[key] = left = max(left - 1, 0)
+                if left == 0:
+                    self._cache.pop(key, None)
+
+    def _block_ranges(self, x0: int, y0: int, nx: int, ny: int
+                      ) -> Tuple[range, range]:
+        """Block coordinates covering a non-empty window."""
+        b = self.block
+        return (range(x0 // b, (x0 + nx - 1) // b + 1),
+                range(y0 // b, (y0 + ny - 1) // b + 1))
 
     def _blocks(self, x0: int, y0: int, nx: int, ny: int
                 ) -> Tuple[range, range]:
-        """Block coordinates covering a non-empty window.  Records the
-        window's block count as the calling thread's share of the cache."""
-        b = self.block
-        bxs = range(x0 // b, (x0 + nx - 1) // b + 1)
-        bys = range(y0 // b, (y0 + ny - 1) // b + 1)
+        """:meth:`_block_ranges`, recording the window's block count as
+        the calling thread's share of the cache."""
+        bxs, bys = self._block_ranges(x0, y0, nx, ny)
         with self._lock:
             self._readers[threading.current_thread()] = len(bxs) * len(bys)
         return bxs, bys
@@ -303,9 +339,12 @@ class BlockNoise:
                     out[gx0 - x0 : gx1 - x0, gy0 - y0 : gy1 - y0] = vals[
                         gx0 - bx * b : gx1 - bx * b, gy0 - by * b : gy1 - by * b
                     ]
-            # Keep every reading thread's latest window: the next tile, on
-            # whichever thread, shares blocks with its neighbours' windows.
+            # Free the planned blocks this was the last read of; of the
+            # rest, keep every reading thread's latest window: the next
+            # tile, on whichever thread, shares blocks with its
+            # neighbours' windows.
             with self._lock:
+                self._retire(bxs, bys)
                 self._trim(sum(self._readers.values()))
         obs.add("rng.blocks_drawn", drawn)
         obs.add("rng.blocks_reused", reused)
@@ -322,8 +361,9 @@ class BlockNoise:
         thread's trim keeps the blocks it just drew.  It trims nothing
         itself: the window the reader is about to read may be older than
         the blocks drawn here, and only the reader's own trim, after that
-        read, may evict it.  Values are those of :meth:`window`; only who
-        draws a block, and when, changes.
+        read, may evict it.  A planned block whose last planned read is
+        already done is not drawn again.  Values are those of
+        :meth:`window`; only who draws a block, and when, changes.
         """
         if nx < 0 or ny < 0:
             raise ValueError("window dimensions must be >= 0")
@@ -335,12 +375,43 @@ class BlockNoise:
             with obs.trace("rng.prefetch"):
                 for bx in bxs:
                     for by in bys:
-                        drawn += self._cached_block(bx, by)[1]
+                        drawn += self._cached_block(bx, by, ahead=True)[1]
         finally:
             # counted even when a draw fails part way: every block drawn
             # shows up in rng.blocks_drawn
             obs.add("rng.blocks_drawn", drawn)
             obs.add("rng.blocks_prefetched", drawn)
+
+    @contextlib.contextmanager
+    def plan_reads(self, windows: Iterable[Tuple[int, int, int, int]]
+                   ) -> Iterator[None]:
+        """Register the windows ``(x0, y0, nx, ny)`` that will be read,
+        in any order, while the ``with`` block runs.
+
+        Each block of the plan stays cached until the last planned read
+        of it and is evicted right after, so the plan draws each of its
+        blocks once (within :data:`BLOCK_CACHE_BYTES`).  Every
+        :meth:`window` read counts against the plan, whichever window it
+        is; a block read more often than planned is drawn again, never
+        with other values.  Blocks outside the plan keep the
+        least-recently-used trim.  A later plan replaces this one;
+        leaving the block drops the plan, and the blocks it still held
+        fall back to that trim.
+        """
+        reads_left: Dict[Tuple[int, int], int] = {}
+        for x0, y0, nx, ny in windows:
+            if nx > 0 and ny > 0:
+                for key in itertools.product(
+                        *self._block_ranges(x0, y0, nx, ny)):
+                    reads_left[key] = reads_left.get(key, 0) + 1
+        with self._lock:
+            self._reads_left = reads_left
+        try:
+            yield
+        finally:
+            with self._lock:
+                if self._reads_left is reads_left:
+                    self._reads_left = {}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BlockNoise(seed={self.seed}, block={self.block})"

@@ -35,7 +35,8 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = ["ACCESS_MODES", "SPEC_SCHEMA", "GenerationSpec", "SpecError"]
+__all__ = ["ACCESS_MODES", "SPEC_SCHEMA", "GenerationSpec", "SpecError",
+           "check_store_noise"]
 
 #: Schema tag stamped into (and required of) every spec document.
 SPEC_SCHEMA = "repro.spec/v1"
@@ -261,16 +262,7 @@ class GenerationSpec:
         """Raise :class:`SpecError` when ``store`` records another run
         (only the seed can be compared with a store of an earlier
         build), whose tiles this run's must not be welded onto."""
-        meta = store.manifest.get("meta") or {}
-        if "spec" in meta:
-            theirs = GenerationSpec.from_dict(meta["spec"])._identity()
-        else:
-            theirs = {"seed": meta.get("seed", self.seed)}
-        ours = self._identity()
-        for key, value in theirs.items():
-            _require(ours[key] == value, key,
-                     f"store {store.path} holds a run with {key} "
-                     f"{value!r}, not {ours[key]!r}")
+        _check_recorded_run(store, self._identity())
 
     def tile_plan(self):
         """The spec's :class:`~repro.parallel.tiles.TilePlan` (or None)."""
@@ -434,3 +426,29 @@ class GenerationSpec:
         _require(not (spec.access == "shared" and not spec.store_path),
                  "store_path", "shared access requires a store path")
         return spec
+
+
+def check_store_noise(store, noise) -> None:
+    """Raise :class:`SpecError` when ``store`` records a run on another
+    noise plane: another seed, or another block size.  For runs of a
+    live generator, which have no spec to compare
+    (:meth:`GenerationSpec.check_store` compares the whole run)."""
+    _check_recorded_run(store, {"seed": noise.seed,
+                                "noise_block": noise.block})
+
+
+def _check_recorded_run(store, ours: Dict[str, Any]) -> None:
+    """Raise :class:`SpecError` when the run ``store`` records differs
+    from the identity ``ours`` on a key both know.  A store of an
+    earlier build records only its seed; one that records no run
+    (made by ``SurfaceStore.create`` without meta) is never refused."""
+    meta = store.manifest.get("meta") or {}
+    if "spec" in meta:
+        theirs = GenerationSpec.from_dict(meta["spec"])._identity()
+    else:
+        theirs = {"seed": meta["seed"]} if "seed" in meta else {}
+    for key, value in theirs.items():
+        if key in ours:
+            _require(ours[key] == value, key,
+                     f"store {store.path} holds a run with {key} "
+                     f"{value!r}, not {ours[key]!r}")

@@ -47,7 +47,7 @@ import numpy as np
 
 from .. import obs
 from ..core.rng import BlockNoise
-from ..core.spec import GenerationSpec
+from ..core.spec import GenerationSpec, check_store_noise
 from ..io.atomic import atomic_write_json
 from ..io.store import SurfaceStore
 from ..parallel.tiles import TilePlan
@@ -146,6 +146,8 @@ class JobCheckpoint:
             store.validate_plan(plan)  # tile index must equal chunk index
             if spec is not None:
                 spec.check_store(store)
+            else:
+                check_store_noise(store, noise)
             path.mkdir(parents=True, exist_ok=True)
             store_path = str(Path(store.path).resolve())
         manifest: Dict[str, Any] = {

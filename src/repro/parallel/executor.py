@@ -6,11 +6,15 @@ supports windowed generation (anything satisfying the
 and assembles the tiles into one height array.  Three backends:
 
 ``serial``
-    Plain loop; the reference.  One helper thread draws the next
-    tile's noise blocks (:meth:`~repro.core.rng.BlockNoise.prefetch`)
-    while the current tile convolves: numpy's Philox fill and
-    ``scipy.fft`` both release the GIL, so the two overlap.  Strip
-    streams (:mod:`repro.parallel.streaming`) run through this loop too.
+    Plain loop; the reference.  It registers its tiles' noise windows
+    with the plane (:meth:`~repro.core.rng.BlockNoise.plan_reads`), which
+    keeps each block until the last tile that reads it: each block is
+    drawn once.  One helper thread draws the next tile's noise blocks
+    (:meth:`~repro.core.rng.BlockNoise.prefetch`) while the current tile
+    convolves: numpy's Philox fill and ``scipy.fft`` both release the
+    GIL, so the two overlap.  Strip streams
+    (:mod:`repro.parallel.streaming`) run through this loop too, with
+    no read plan (a stream may be endless).
 ``thread``
     ``ThreadPoolExecutor``.  NumPy's FFT and BLAS release the GIL for
     large arrays, so threads give genuine speedups with zero pickling
@@ -83,6 +87,7 @@ from .. import obs
 from ..core.api import split_result
 from ..core.engine import plan_cache
 from ..core.rng import BlockNoise
+from ..core.spec import check_store_noise
 from ..core.surface import Surface
 from .tiles import Tile, TilePlan
 
@@ -220,18 +225,28 @@ class _NoisePrefetch:
 
 
 def _serial_tiles(
-    generator: WindowedGenerator, noise: BlockNoise, tiles: Iterable[Tile]
+    generator: WindowedGenerator, noise: BlockNoise, tiles: Iterable[Tile],
+    *, planned: bool = False,
 ) -> Iterator[Tuple[Tile, np.ndarray, Optional[dict], float]]:
     """The serial tile loop: ``(tile, heights, provenance, seconds)`` per
     tile of ``tiles``, in order, with the next tile's noise prefetched.
 
-    ``tiles`` may be endless.  The helper thread lives as long as the
-    loop: it is joined when the tiles run out, when a tile raises, and
-    when the caller closes or drops the iterator.
+    ``tiles`` may be endless.  With ``planned``, ``tiles`` is a finite
+    list whose noise windows the loop registers with the plane
+    (:meth:`~repro.core.rng.BlockNoise.plan_reads`), so each block is
+    drawn once and freed after the last tile that reads it.  The helper
+    thread and the plan live as long as the loop: they end when the
+    tiles run out, when a tile raises, and when the caller closes or
+    drops the iterator.
     """
+    window_of = getattr(generator, "noise_window", None)
+    reads = (noise.plan_reads([window_of(t.x0, t.y0, t.nx, t.ny)
+                               for t in tiles])
+             if planned and window_of is not None
+             else contextlib.nullcontext())
     tiles = iter(tiles)
     upcoming = next(tiles, None)
-    with _NoisePrefetch(generator, noise) as prefetch:
+    with reads, _NoisePrefetch(generator, noise) as prefetch:
         while upcoming is not None:
             tile, upcoming = upcoming, next(tiles, None)
             if upcoming is not None:
@@ -525,13 +540,15 @@ class _ResilientRun:
                     obs.add("executor.degradations")
 
     def _run_serial(self) -> None:
-        """:func:`_serial_tiles` over ``pending``.  A failed tile ends
-        that loop and its prefetch helper; the retry heads ``pending``
-        and a fresh loop opens over what is left."""
+        """:func:`_serial_tiles` over ``pending``, its noise reads
+        planned.  A failed tile ends that loop, its prefetch helper and
+        its read plan; the retry heads ``pending`` and a fresh loop
+        opens over what is left, planning those tiles' reads."""
         while self.pending:
             tiles = [task.tile for task in self.pending]
             with contextlib.closing(
-                _serial_tiles(self.generator, self.noise, tiles)
+                _serial_tiles(self.generator, self.noise, tiles,
+                              planned=True)
             ) as results:
                 while self.pending:
                     task = self.pending[0]
@@ -788,6 +805,7 @@ def generate_tiled(
     gen_dtype = _generator_dtype(generator)
     if store is not None:
         store.validate_plan(plan)
+        check_store_noise(store, noise)  # never weld onto another run
         out = None
     elif out is not None:
         out = np.asarray(out)

@@ -146,7 +146,7 @@ class TestCheckInhomo:
         assert len(failures) == 3
 
 
-def _noise_row(blocks_drawn=576, verify_passed=True):
+def _noise_row(blocks_drawn=324, verify_passed=True):
     return {"traced_wall_s": 1.8, "rng_noise_s": 0.2, "rng_prefetch_s": 1.0,
             "blocks_requested": 1024, "blocks_drawn": blocks_drawn,
             "blocks_prefetched": blocks_drawn - 10,

@@ -455,6 +455,85 @@ class TestNoisePrefetch:
         assert got.heights.tobytes() == ref.heights.tobytes()
 
 
+class TestPlannedSerialLoop:
+    """The serial scheduler registers its tiles' noise windows with the
+    plane: each block is drawn once, and freed after the last tile that
+    reads it.  Tiles must still equal one-shot windows byte for byte."""
+
+    # three rows of eight tiles: a row's windows span 4 x 18 blocks of
+    # 16^2, more than the unplanned cache keeps
+    PLAN = TilePlan(total_nx=96, total_ny=256, tile_nx=32, tile_ny=32)
+
+    def _blocks_read(self, generator, tiles):
+        return set().union(set(), *(
+            _blocks_of(16, generator.noise_window(t.x0, t.y0, t.nx, t.ny))
+            for t in tiles))
+
+    def test_serial_run_draws_each_block_once(self, gen):
+        noise = BlockNoise(seed=5, block=16)
+        with obs.recording() as rec:
+            serial = generate_tiled(gen, noise, self.PLAN)
+        assert rec.metrics.counters("rng.")["rng.blocks_drawn"] == \
+            len(self._blocks_read(gen, self.PLAN))
+        assert not noise._cache  # every block freed after its last read
+        thread = generate_tiled(gen, BlockNoise(seed=5, block=16),
+                                self.PLAN, backend="thread", workers=2)
+        ref = _tilewise_reference(gen, 5, 16, self.PLAN)
+        assert serial.heights.tobytes() == thread.heights.tobytes()
+        assert serial.heights.tobytes() == ref.tobytes()
+
+    def test_cache_holds_only_blocks_later_tiles_read(self, gen):
+        tiles = self.PLAN.tiles()
+        later = [self._blocks_read(gen, tiles[i:]) for i in range(len(tiles))]
+        bounded = []
+
+        def cache_within_plan(noise, i):
+            with noise._lock:
+                bounded.append(set(noise._cache) <= later[i])
+            return True
+
+        got = generate_tiled(_Paced(gen, cache_within_plan),
+                             BlockNoise(seed=5, block=16), self.PLAN)
+        assert bounded == [True] * len(tiles)
+        assert got.heights.tobytes() == \
+            _tilewise_reference(gen, 5, 16, self.PLAN).tobytes()
+
+    def test_retried_tiles_give_the_same_bytes(self, gen):
+        """Tile 3 fails before it reads its noise (a fault), tile 11 after
+        (the generator raises): each reopened loop plans its own tiles,
+        and only the tile that read before failing may redraw blocks."""
+        from repro.jobs import FaultPlan, FaultSpec, RetryPolicy
+
+        retried = self.PLAN.tiles()[11]
+        failed = []
+
+        class FailsOnceAfterItsNoise:
+            grid = gen.grid
+            noise_window = gen.noise_window
+
+            def generate_window(self, noise, x0, y0, nx, ny):
+                if (x0, y0) == (retried.x0, retried.y0) and not failed:
+                    noise.window(*gen.noise_window(x0, y0, nx, ny))
+                    failed.append((x0, y0))
+                    raise RuntimeError("tile fails after reading its noise")
+                return gen.generate_window(noise, x0, y0, nx, ny)
+
+        noise = BlockNoise(seed=5, block=16)
+        with obs.recording() as rec:
+            got = generate_tiled(
+                FailsOnceAfterItsNoise(), noise, self.PLAN,
+                retry=RetryPolicy(backoff_base=0.0),
+                fault_plan=FaultPlan.of(FaultSpec(tile=3)))
+        assert failed and got.provenance["resilience"]["retries"] == 2
+        assert got.heights.tobytes() == \
+            _tilewise_reference(gen, 5, 16, self.PLAN).tobytes()
+        drawn = rec.metrics.counters("rng.")["rng.blocks_drawn"]
+        assert drawn <= len(self._blocks_read(gen, self.PLAN)) + len(
+            self._blocks_read(gen, [retried]))
+        assert not noise._cache
+        assert not _prefetch_threads()
+
+
 class _FailsAt:
     """Delegates to ``inner``, but the tile at ``at`` raises
     ``ValueError`` (``kill``: ends its process) after logging the attempt

@@ -440,3 +440,107 @@ class TestPrefetch:
             plane.window(*windows[2])
             plane.window(*windows[1])
         assert rec.metrics.counters("rng.")["rng.blocks_drawn"] == 12
+
+
+class TestReadPlan:
+    """Windows registered with ``plan_reads``: each planned block is
+    drawn once and evicted right after the last planned read of it."""
+
+    def _sweep(self):
+        from repro.parallel.tiles import TilePlan
+
+        # three rows of eight tiles: a row's windows span 4 x 18 blocks,
+        # more than the two windows an unplanned cache keeps
+        plan = TilePlan(total_nx=96, total_ny=256, tile_nx=32, tile_ny=32)
+        halo = 8
+        return [(t.x0 - halo, t.y0 - halo, t.nx + 2 * halo, t.ny + 2 * halo)
+                for t in plan]
+
+    @pytest.mark.parametrize("order", ["row-major", "reversed"])
+    def test_a_planned_sweep_draws_each_block_once(self, order):
+        block = 16
+        windows = self._sweep()
+        if order == "reversed":
+            windows = windows[::-1]
+        distinct = set().union(*(_window_blocks(block, *w) for w in windows))
+        plane = BlockNoise(seed=3, block=block)
+        with obs.recording() as rec, plane.plan_reads(windows):
+            for i, w in enumerate(windows):
+                assert np.array_equal(plane.window(*w),
+                                      _reference_window(3, block, *w))
+                # only the blocks a later window reads stay cached
+                later = set().union(set(), *(_window_blocks(block, *v)
+                                             for v in windows[i + 1:]))
+                assert set(plane._cache) <= later
+        assert rec.metrics.counters("rng.")["rng.blocks_drawn"] == \
+            len(distinct)
+        assert not plane._cache
+
+    def test_a_block_read_more_often_than_planned_is_drawn_again(self):
+        window = (0, 0, 16, 16)  # exactly block (0, 0)
+        plane = BlockNoise(seed=5, block=16)
+        with obs.recording() as rec, plane.plan_reads([window]):
+            first = plane.window(*window)
+            assert not plane._cache  # freed after its one planned read
+            plane.prefetch(*window)  # nothing left to read it: not drawn
+            assert not plane._cache
+            again = plane.window(*window)
+            assert not plane._cache
+        assert rec.metrics.counters("rng.")["rng.blocks_drawn"] == 2
+        for got in (first, again):
+            assert np.array_equal(got, _reference_window(5, 16, *window))
+        plane.prefetch(*window)  # outside the plan: cached as before
+        assert set(plane._cache) == {(0, 0)}
+
+    def test_a_later_plan_replaces_an_earlier_one(self):
+        a, b = (0, 0, 16, 16), (16, 0, 16, 16)  # blocks (0, 0), (1, 0)
+        plane = BlockNoise(seed=6, block=16)
+        with plane.plan_reads([a, a]):
+            plane.window(*a)
+            assert set(plane._cache) == {(0, 0)}  # one planned read left
+            with plane.plan_reads([b]):
+                plane.window(*b)
+                # b is freed; a is unplanned now, so the trim to the
+                # latest window's one block keeps it
+                assert set(plane._cache) == {(0, 0)}
+                plane.window(32, 0, 1, 1)  # unplanned block (2, 0)
+                assert set(plane._cache) == {(2, 0)}
+            # leaving the inner plan dropped it, and the outer one is
+            # gone too: block (0, 0) is kept as an unplanned block
+            plane.window(*a)
+            assert set(plane._cache) == {(0, 0)}
+
+    def test_the_byte_cap_holds_under_a_plan(self, monkeypatch):
+        from repro.core import rng
+
+        monkeypatch.setattr(rng, "BLOCK_CACHE_BYTES", 4 * 8 * 8 * 8)
+        plane = BlockNoise(seed=9, block=8)  # room for 4 blocks
+        windows = [(x0, -3, 20, 20) for x0 in range(-8, 64, 8)]
+        with plane.plan_reads(windows):
+            for w in windows:
+                assert np.array_equal(plane.window(*w),
+                                      _reference_window(9, 8, *w))
+                assert len(plane._cache) <= 4
+
+    def test_threads_sharing_a_planned_plane_draw_each_block_once(self):
+        """Eight threads read a plan's windows in any order; a lost
+        update of a block's planned reads would evict it early (a
+        second draw) or never (a block left cached)."""
+        block = 16
+        windows = self._sweep() * 2
+        distinct = set().union(*(_window_blocks(block, *w) for w in windows))
+        plane = BlockNoise(seed=8, block=block)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with obs.recording() as rec, plane.plan_reads(windows), \
+                    ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda w: plane.window(*w), windows,
+                                    timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert rec.metrics.counters("rng.")["rng.blocks_drawn"] == \
+            len(distinct)
+        assert not plane._cache
+        for w, values in zip(windows, got):
+            assert np.array_equal(values, _reference_window(8, block, *w))

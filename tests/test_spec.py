@@ -239,6 +239,46 @@ class TestStoreRecordsTheSpec:
                                    chunk=(32, 32))
         conv_spec(seed=7).check_store(bare)
 
+    def test_live_generator_runs_check_the_noise(self, tmp_path):
+        """``run_tiled`` and ``generate_tiled(out=store)`` have a live
+        generator and no spec: they compare their noise plane's seed and
+        block with the run the store records, before writing a chunk."""
+        from repro.core.rng import BlockNoise
+        from repro.io.store import SurfaceStore
+        from repro.jobs import run_tiled
+        from repro.parallel import generate_tiled
+
+        spec = conv_spec(seed=7)
+        gen, plan = spec.build_generator(), spec.tile_plan()
+        store = spec.create_store(tmp_path / "S")
+        files = ("chunks.npy", "manifest.json")
+        before = {name: (store.path / name).read_bytes() for name in files}
+        with pytest.raises(SpecError, match="seed 7, not 8") as exc:
+            run_tiled(gen, BlockNoise(seed=8), plan,
+                      checkpoint=tmp_path / "ck", store=store)
+        assert exc.value.field == "seed"
+        assert not (tmp_path / "ck").exists()
+        with pytest.raises(SpecError, match="seed"):
+            generate_tiled(gen, BlockNoise(seed=8), plan, out=store)
+        with pytest.raises(SpecError) as exc:
+            generate_tiled(gen, BlockNoise(seed=7, block=32), plan, out=store)
+        assert exc.value.field == "noise_block"
+        assert not store.done.any()
+        assert before == {name: (store.path / name).read_bytes()
+                          for name in files}
+        # the same noise plane fills it, as before
+        generate_tiled(gen, spec.noise(), plan, out=store)
+        assert store.done.all()
+        # a store of an earlier build records only its seed
+        legacy = SurfaceStore.create(tmp_path / "L", shape=(64, 64),
+                                     chunk=(32, 32), meta={"seed": 7})
+        with pytest.raises(SpecError, match="seed"):
+            generate_tiled(gen, BlockNoise(seed=8), plan, out=legacy)
+        generate_tiled(gen, BlockNoise(seed=7, block=32), plan, out=legacy)
+        assert legacy.done.all()
+        store.close()
+        legacy.close()
+
     def test_spectrum(self):
         assert conv_spec().spectrum.to_dict()["kind"] == "gaussian"
         figure = {"kind": "figure", "name": "fig1", "n": 32,
