@@ -169,16 +169,16 @@ class BlockNoise:
 
     Each plane caches the blocks it drew, capped at
     :data:`BLOCK_CACHE_BYTES`.  A reader that knows its windows ahead
-    (the serial tile loop) registers them with :meth:`plan_reads`: each
-    block of that plan stays cached until the last planned window that
-    reads it, and is evicted right after that read, so a plan draws each
-    of its blocks once.  Blocks no plan needs are kept least recently
-    used, sized to the block count of the most recent window (with
-    several threads reading, of each live thread's most recent window):
-    row-major tiles overlap their predecessor's halo, so the next tile
-    reuses the blocks they share instead of redrawing them.  Values
-    never depend on the cache: every block is a pure function of its
-    key.  Cached blocks
+    (the serial and thread tile loops, the serve batcher) registers them
+    with :meth:`plan_reads`: each block of that plan stays cached until
+    the last planned window that reads it, and is evicted right after
+    its copy in that read, so a plan draws each of its blocks once.
+    Blocks no plan needs are kept least recently used, sized to the
+    block count of the most recent window (with several threads
+    reading, of each live thread's most recent window): row-major tiles
+    overlap their predecessor's halo, so the next tile reuses the blocks
+    they share instead of redrawing them.  Values never depend on the
+    cache: every block is a pure function of its key.  Cached blocks
     are read-only; :meth:`window` always returns a fresh array.  The
     cache belongs to this instance: a pickled plane carries only
     ``(seed, block)``, and threads may share one plane.  A block two
@@ -281,17 +281,15 @@ class BlockNoise:
         for key in spare[:max(0, len(spare) - capacity)]:
             del self._cache[key]
 
-    def _retire(self, bxs: range, bys: range) -> None:
-        """Count one read of each planned block of a window; evict a
-        block once its planned reads are done (lock held)."""
-        if not self._reads_left:
-            return
-        for key in itertools.product(bxs, bys):
-            left = self._reads_left.get(key)
-            if left is not None:
-                self._reads_left[key] = left = max(left - 1, 0)
-                if left == 0:
-                    self._cache.pop(key, None)
+    def _retire(self, bx: int, by: int) -> None:
+        """Count one read of block ``(bx, by)``; evict it if it is
+        planned and that was its last planned read (lock held)."""
+        key = (bx, by)
+        left = self._reads_left.get(key)
+        if left is not None:
+            self._reads_left[key] = left = max(left - 1, 0)
+            if left == 0:
+                self._cache.pop(key, None)
 
     def _block_ranges(self, x0: int, y0: int, nx: int, ny: int
                       ) -> Tuple[range, range]:
@@ -339,12 +337,17 @@ class BlockNoise:
                     out[gx0 - x0 : gx1 - x0, gy0 - y0 : gy1 - y0] = vals[
                         gx0 - bx * b : gx1 - bx * b, gy0 - by * b : gy1 - by * b
                     ]
-            # Free the planned blocks this was the last read of; of the
-            # rest, keep every reading thread's latest window: the next
-            # tile, on whichever thread, shares blocks with its
-            # neighbours' windows.
+                    # free a planned block right after its last read,
+                    # not after the whole window (dropping this
+                    # reference too, so its memory goes with it)
+                    del vals
+                    if self._reads_left:
+                        with self._lock:
+                            self._retire(bx, by)
+            # Of the unplanned blocks, keep every reading thread's
+            # latest window: the next tile, on whichever thread, shares
+            # blocks with its neighbours' windows.
             with self._lock:
-                self._retire(bxs, bys)
                 self._trim(sum(self._readers.values()))
         obs.add("rng.blocks_drawn", drawn)
         obs.add("rng.blocks_reused", reused)

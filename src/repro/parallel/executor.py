@@ -19,6 +19,8 @@ and assembles the tiles into one height array.  Three backends:
     ``ThreadPoolExecutor``.  NumPy's FFT and BLAS release the GIL for
     large arrays, so threads give genuine speedups with zero pickling
     cost and shared output memory.  The best default on one machine.
+    It plans its tiles' noise reads like the serial loop, so the
+    workers draw each block once between them.
 ``process``
     ``ProcessPoolExecutor`` with persistent workers: the generator and
     noise spec are broadcast **once** per worker through the pool
@@ -72,9 +74,11 @@ from multiprocessing import shared_memory
 from typing import (
     Any,
     Callable,
+    ContextManager,
     Dict,
     Iterable,
     Iterator,
+    List,
     NamedTuple,
     Optional,
     Protocol,
@@ -224,6 +228,18 @@ class _NoisePrefetch:
             self.pool.shutdown(wait=True, cancel_futures=True)
 
 
+def _plan_reads(generator: WindowedGenerator, noise: BlockNoise,
+                tiles: List[Tile]) -> ContextManager[None]:
+    """Register the noise windows of ``tiles`` with the plane
+    (:meth:`~repro.core.rng.BlockNoise.plan_reads`) for a ``with``
+    block; nothing for a generator that does not name its windows."""
+    window_of = getattr(generator, "noise_window", None)
+    if window_of is None:
+        return contextlib.nullcontext()
+    return noise.plan_reads([window_of(t.x0, t.y0, t.nx, t.ny)
+                             for t in tiles])
+
+
 def _serial_tiles(
     generator: WindowedGenerator, noise: BlockNoise, tiles: Iterable[Tile],
     *, planned: bool = False,
@@ -239,10 +255,7 @@ def _serial_tiles(
     tiles run out, when a tile raises, and when the caller closes or
     drops the iterator.
     """
-    window_of = getattr(generator, "noise_window", None)
-    reads = (noise.plan_reads([window_of(t.x0, t.y0, t.nx, t.ny)
-                               for t in tiles])
-             if planned and window_of is not None
+    reads = (_plan_reads(generator, noise, tiles) if planned
              else contextlib.nullcontext())
     tiles = iter(tiles)
     upcoming = next(tiles, None)
@@ -570,8 +583,13 @@ class _ResilientRun:
         return _traced_tile(self.generator, self.noise, task.tile, submit_ns)
 
     def _run_thread(self) -> None:
+        """The pool over ``pending``, its noise reads planned as on the
+        serial path.  A retried tile's extra read is not planned: it may
+        draw its blocks again, with the same values."""
         tracing = obs.enabled()
-        with cf.ThreadPoolExecutor(max_workers=self.workers) as pool:
+        tiles = [task.tile for task in self.pending]
+        with _plan_reads(self.generator, self.noise, tiles), \
+                cf.ThreadPoolExecutor(max_workers=self.workers) as pool:
 
             def submit(task: _Task):
                 ns = time.perf_counter_ns() if tracing else None

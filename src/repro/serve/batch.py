@@ -28,10 +28,21 @@ share.
 The kernel-plan cache is the process-global
 :data:`repro.core.engine.plan_cache`, so plans warm up across requests
 and across batch groups.
+
+Noise ahead of the pass
+-----------------------
+A group's noise window is a pure function of ``(seed, block, window)``
+(:class:`~repro.core.rng.BlockNoise`), so one helper thread
+(``serve-noise``) draws it ahead of the group: the first group's while
+the batcher lingers, each next group's while the previous group's
+FFTs run.  At most two windows are in flight, the running group's and
+the next.  A draw that fails is dropped and the group draws its window
+itself; either way the values are the same.
 """
 
 from __future__ import annotations
 
+import concurrent.futures as cf
 import queue
 import threading
 import time
@@ -88,6 +99,19 @@ def group_key(item: BatchItem) -> tuple:
     )
 
 
+def _read_noise(item: BatchItem) -> np.ndarray:
+    """The noise window ``item``'s group convolves.
+
+    The read is planned, so the plane frees each block right after
+    copying it and a one-shot read holds no more than one block.
+    """
+    plane = (BlockNoise(item.seed) if item.noise_block is None
+             else BlockNoise(item.seed, item.noise_block))
+    window = noise_window_for(item.generator.kernel, *item.window)
+    with plane.plan_reads([window]):
+        return plane.window(*window)
+
+
 def _kernel_identity(kernel) -> tuple:
     """Requests with equal kernel identities share one output array."""
     return (kernel.plan_key, kernel.shape, kernel.cx, kernel.cy,
@@ -102,7 +126,9 @@ class Batcher:
     and executes group by group.  Lingering trades a bounded latency
     floor for batching opportunity; the default is a few milliseconds —
     well under one small engine pass — and tests/benches widen it to
-    make batching deterministic.
+    make batching deterministic.  A helper thread draws each group's
+    noise one group ahead (see the module docstring); :meth:`stop`
+    cancels its queued draws and joins it.
     """
 
     def __init__(self, *, linger_s: float = 0.005, max_batch: int = 64) -> None:
@@ -114,11 +140,14 @@ class Batcher:
         self.max_batch = int(max_batch)
         self._queue: "queue.Queue[Optional[BatchItem]]" = queue.Queue()
         self._thread: Optional[threading.Thread] = None
+        self._noise: Optional[cf.ThreadPoolExecutor] = None
         self._closed = False
 
     def start(self) -> None:
         if self._thread is not None:
             return
+        self._noise = cf.ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="serve-noise")
         self._thread = threading.Thread(
             target=self._run, name="serve-batcher", daemon=True
         )
@@ -131,6 +160,8 @@ class Batcher:
         self._queue.put(None)
         self._thread.join(timeout=10.0)
         self._thread = None
+        self._noise.shutdown(wait=True, cancel_futures=True)
+        self._noise = None
 
     def submit(self, item: BatchItem) -> None:
         if self._closed:
@@ -145,27 +176,41 @@ class Batcher:
             if first is None:
                 return
             batch = [first]
+            # the first group's noise is drawn while the batcher lingers
+            noise = self._ahead(first)
             deadline = time.monotonic() + self.linger_s
-            while len(batch) < self.max_batch:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 and self._queue.empty():
-                    break
-                try:
-                    item = self._queue.get(timeout=max(remaining, 0.0))
-                except queue.Empty:
-                    break
-                if item is None:
-                    self._drain_error(batch, RuntimeError("batcher stopped"))
-                    return
-                batch.append(item)
+            with obs.trace("serve.linger"):
+                while len(batch) < self.max_batch:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0 and self._queue.empty():
+                        break
+                    try:
+                        item = self._queue.get(timeout=max(remaining, 0.0))
+                    except queue.Empty:
+                        break
+                    if item is None:
+                        self._drain_error(batch,
+                                          RuntimeError("batcher stopped"))
+                        return
+                    batch.append(item)
             groups: Dict[tuple, List[BatchItem]] = {}
             for item in batch:
                 groups.setdefault(group_key(item), []).append(item)
-            for members in groups.values():
+            # ``first`` heads the first group; each next group's noise
+            # is drawn while the group before it runs
+            ordered = list(groups.values())
+            for i, members in enumerate(ordered):
+                upcoming = (self._ahead(ordered[i + 1][0])
+                            if i + 1 < len(ordered) else None)
                 try:
-                    self._execute(members)
+                    self._execute(members, noise)
                 except BaseException as exc:  # deliver, keep serving
                     self._drain_error(members, exc)
+                noise = upcoming
+
+    def _ahead(self, item: BatchItem) -> "cf.Future[np.ndarray]":
+        """Queue the noise window of ``item``'s group on the helper."""
+        return self._noise.submit(_read_noise, item)
 
     @staticmethod
     def _drain_error(items: List[BatchItem], exc: BaseException) -> None:
@@ -175,8 +220,10 @@ class Batcher:
             except Exception:
                 pass
 
-    def _execute(self, members: List[BatchItem]) -> None:
-        """One engine pass for one compatible group."""
+    def _execute(self, members: List[BatchItem],
+                 noise: "cf.Future[np.ndarray]") -> None:
+        """One engine pass for one compatible group, over the noise
+        window ``noise`` draws (or, if that draw failed, its own)."""
         rep = members[0]
         x0, y0, nx, ny = rep.window
         # distinct kernel values: value-equal kernels share one inverse
@@ -195,13 +242,10 @@ class Batcher:
         engine = rep.generator.engine
         if engine == "auto":
             engine = select_engine(kernels[0].shape)
-        noise_kwargs: Dict[str, Any] = {"seed": rep.seed}
-        if rep.noise_block is not None:
-            noise_kwargs["block"] = rep.noise_block
-        wx0, wy0, wnx, wny = noise_window_for(kernels[0], x0, y0, nx, ny)
-        # A group reads its plane once: drop the plane (and the blocks it
-        # cached) before the FFTs rather than holding them to the end.
-        window = BlockNoise(**noise_kwargs).window(wx0, wy0, wnx, wny)
+        try:
+            window = noise.result()
+        except Exception:
+            window = _read_noise(rep)
         with obs.trace("serve.batch", {
             "requests": len(members), "kernels": len(kernels),
         } if obs.enabled() else None):

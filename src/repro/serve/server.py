@@ -96,20 +96,23 @@ class ServeServer:
                     break
                 if request is None:
                     break
-                try:
-                    keep = await self._dispatch(request, writer)
-                except HttpError as exc:
-                    await self._reply_error(writer, exc)
-                    keep = request.keep_alive
-                except (ConnectionError, asyncio.CancelledError):
-                    break
-                except Exception as exc:  # never kill the acceptor
-                    obs.event("serve.error", path=request.path,
-                              error=repr(exc))
-                    await self._reply_error(
-                        writer, HttpError(500, f"internal error: {exc!r}")
-                    )
-                    keep = False
+                with obs.trace("serve.request", {
+                    "method": request.method, "path": request.path,
+                } if obs.enabled() else None):
+                    try:
+                        keep = await self._dispatch(request, writer)
+                    except HttpError as exc:
+                        await self._reply_error(writer, exc)
+                        keep = request.keep_alive
+                    except (ConnectionError, asyncio.CancelledError):
+                        break
+                    except Exception as exc:  # never kill the acceptor
+                        obs.event("serve.error", path=request.path,
+                                  error=repr(exc))
+                        await self._reply_error(
+                            writer,
+                            HttpError(500, f"internal error: {exc!r}"))
+                        keep = False
                 if not keep or not request.keep_alive:
                     break
         finally:

@@ -534,6 +534,60 @@ class TestPlannedSerialLoop:
         assert not _prefetch_threads()
 
 
+class TestPlannedThreadRun:
+    """The thread backend plans its tiles' noise reads too: its workers
+    draw each block once between them."""
+
+    PLAN = TestPlannedSerialLoop.PLAN
+
+    def test_thread_run_draws_each_block_once(self, gen):
+        noise = BlockNoise(seed=5, block=16)
+        with obs.recording() as rec:
+            got = generate_tiled(gen, noise, self.PLAN, backend="thread",
+                                 workers=2)
+        blocks = set().union(*(
+            _blocks_of(16, gen.noise_window(t.x0, t.y0, t.nx, t.ny))
+            for t in self.PLAN))
+        assert rec.metrics.counters("rng.")["rng.blocks_drawn"] == \
+            len(blocks)
+        assert not noise._cache
+        assert got.heights.tobytes() == \
+            _tilewise_reference(gen, 5, 16, self.PLAN).tobytes()
+
+    def test_a_retried_tile_redraws_the_same_values(self, gen):
+        """A tile that fails after its read is retried outside the plan:
+        it may draw its window's blocks again, with the same values."""
+        from repro.jobs import RetryPolicy
+
+        log = []
+
+        class FailsOnceAfterItsNoise:
+            grid = gen.grid
+            noise_window = gen.noise_window
+
+            def generate_window(self, noise, x0, y0, nx, ny):
+                if (x0, y0) == (32, 64) and not log:
+                    noise.window(*gen.noise_window(x0, y0, nx, ny))
+                    log.append("failed")
+                    raise RuntimeError("tile fails after reading its noise")
+                return gen.generate_window(noise, x0, y0, nx, ny)
+
+        noise = BlockNoise(seed=5, block=16)
+        with obs.recording() as rec:
+            got = generate_tiled(FailsOnceAfterItsNoise(), noise, self.PLAN,
+                                 backend="thread", workers=2,
+                                 retry=RetryPolicy(backoff_base=0.0))
+        assert got.provenance["resilience"]["retries"] == 1
+        assert got.heights.tobytes() == \
+            _tilewise_reference(gen, 5, 16, self.PLAN).tobytes()
+        blocks = set().union(*(
+            _blocks_of(16, gen.noise_window(t.x0, t.y0, t.nx, t.ny))
+            for t in self.PLAN))
+        retried = _blocks_of(16, gen.noise_window(32, 64, 32, 32))
+        assert rec.metrics.counters("rng.")["rng.blocks_drawn"] <= \
+            len(blocks) + len(retried)
+
+
 class _FailsAt:
     """Delegates to ``inner``, but the tile at ``at`` raises
     ``ValueError`` (``kill``: ends its process) after logging the attempt

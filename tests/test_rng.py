@@ -544,3 +544,28 @@ class TestReadPlan:
         assert not plane._cache
         for w, values in zip(windows, got):
             assert np.array_equal(values, _reference_window(8, block, *w))
+
+
+class TestOneShotPlannedRead:
+    """A window read under a plan of that window alone: each block is
+    freed right after its copy, not after the whole window."""
+
+    def test_holds_at_most_one_block_and_ends_empty(self):
+        window = (-8, -8, 48, 48)  # 4 x 4 blocks of 16^2
+        plane = BlockNoise(seed=4, block=16)
+        cached_block = plane._cached_block
+        held = []
+
+        def counting(bx, by, ahead=False):
+            got = cached_block(bx, by, ahead)
+            held.append(len(plane._cache))
+            return got
+
+        plane._cached_block = counting
+        with obs.recording() as rec, plane.plan_reads([window]):
+            got = plane.window(*window)
+        assert len(held) == 16
+        assert max(held) == 1
+        assert not plane._cache
+        assert rec.metrics.counters("rng.")["rng.blocks_drawn"] == 16
+        assert np.array_equal(got, _reference_window(4, 16, *window))

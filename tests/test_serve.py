@@ -225,6 +225,183 @@ def service_bytes(svc, job_id):
     return np.load(io.BytesIO(svc.result_npy(job_id))).tobytes()
 
 
+def _noise_threads():
+    return [t for t in threading.enumerate()
+            if t.name.startswith("serve-noise")]
+
+
+#: Two requests per seed: one kernel, two scales of one kernel (one
+#: group, two inverse FFTs), or two kernel shapes (two groups).
+KERNELS = {
+    "shared": [{"h": 1.0}, {"h": 1.0}],
+    "scaled": [{"h": 0.5}, {"h": 2.0}],
+    "shapes": [{"h": 1.0}, {"h": 1.0, "cl": 12.0}],
+}
+
+
+def _kernel_doc(seed, h=1.0, cl=8.0):
+    doc = spec_doc(h=h, seed=seed)
+    doc["generator"]["spectrum"].update(clx=cl, cly=cl)
+    return doc
+
+
+def _burst(svc, seeds, kernels):
+    """Submit two requests per seed in one linger; the finished docs."""
+    docs = [_kernel_doc(seed, **kw) for seed in seeds for kw in KERNELS[kernels]]
+    ids = [svc.submit(doc)["id"] for doc in docs]
+    done = [wait_complete(svc.job_doc, i) for i in ids]
+    for doc in done:
+        assert doc["state"] == "complete", doc["error"]
+    return docs, ids, done
+
+
+class TestNoiseAhead:
+    """The batcher's helper thread draws each group's noise window
+    during the linger and one group ahead; replies must not change."""
+
+    @staticmethod
+    def _service(tmp_path, linger_s=0.5):
+        return SurfaceService(ServeConfig(
+            data_dir=tmp_path / "serve", batch_linger_s=linger_s,
+            tenant_max_active=16, tenant_max_queued=16,
+        ))
+
+    @pytest.mark.parametrize("kernels", sorted(KERNELS))
+    @pytest.mark.parametrize("n_seeds", [1, 2, 5])
+    def test_replies_match_solo_windows(self, tmp_path, n_seeds, kernels):
+        svc = self._service(tmp_path)
+        try:
+            docs, ids, done = _burst(svc, range(3, 3 + n_seeds), kernels)
+            per_group = 1 if kernels == "shapes" else 2
+            for doc in done:
+                assert doc["result"]["batched_with"] == per_group
+            for req, job_id in zip(docs, ids):
+                assert service_bytes(svc, job_id) == \
+                    reference_window(req).tobytes()
+        finally:
+            svc.close()
+
+    def test_a_failed_helper_draw_falls_back_to_the_group(
+            self, tmp_path, monkeypatch):
+        from repro.serve import batch
+
+        read = batch._read_noise
+        calls = []
+
+        def fails_once_on_the_helper(item):
+            name = threading.current_thread().name
+            calls.append(name)
+            if name.startswith("serve-noise") and len(calls) == 1:
+                raise RuntimeError("helper draw fails")
+            return read(item)
+
+        monkeypatch.setattr(batch, "_read_noise", fails_once_on_the_helper)
+        svc = self._service(tmp_path)
+        try:
+            docs, ids, _ = _burst(svc, [4], "scaled")
+            for req, job_id in zip(docs, ids):
+                assert service_bytes(svc, job_id) == \
+                    reference_window(req).tobytes()
+        finally:
+            svc.close()
+        assert calls[0].startswith("serve-noise")
+        assert calls[1] == "serve-batcher"  # the group drew it itself
+
+    def test_no_helper_thread_outlives_stop_or_close(self, tmp_path):
+        from repro.serve.batch import Batcher
+
+        others = set(_noise_threads())  # any that another test left running
+        svc = self._service(tmp_path, linger_s=0.05)
+        try:
+            _burst(svc, [5], "shared")
+            assert len(set(_noise_threads()) - others) == 1
+        finally:
+            svc.close()
+        assert not set(_noise_threads()) - others
+        batcher = Batcher(linger_s=0.0)
+        batcher.start()
+        batcher.stop()
+        assert not set(_noise_threads()) - others
+
+    def test_at_most_two_windows_in_flight(self, tmp_path, monkeypatch):
+        """Five seeds in two shapes: ten groups.  Each group's window is
+        queued before the group before it runs, and a window is in
+        flight from its queueing to the end of its group's pass."""
+        from repro.serve.batch import Batcher
+
+        events = []
+        ahead, execute = Batcher._ahead, Batcher._execute
+
+        def logged_ahead(self, item):
+            events.append("queue")
+            return ahead(self, item)
+
+        def logged_execute(self, members, noise):
+            events.append("run")
+            try:
+                return execute(self, members, noise)
+            finally:
+                events.append("done")
+
+        monkeypatch.setattr(Batcher, "_ahead", logged_ahead)
+        monkeypatch.setattr(Batcher, "_execute", logged_execute)
+        svc = self._service(tmp_path)
+        try:
+            _burst(svc, range(10, 15), "shapes")
+        finally:
+            svc.close()
+        assert events.count("run") == events.count("queue") == 10
+        in_flight = peak = 0
+        for event in events:
+            in_flight += {"queue": 1, "run": 0, "done": -1}[event]
+            peak = max(peak, in_flight)
+        assert peak == 2
+        # the next group's window is queued just before each group runs
+        assert events[:3] == ["queue", "queue", "run"]
+
+    def test_a_traced_bench_burst_draws_each_block_once(self, tmp_path):
+        """Eight 512^2 requests (two seeds, four h) of 129^2 kernels:
+        two groups, each drawing its 640^2 window's 16 blocks of 256^2
+        once, on the helper thread."""
+        from repro import obs
+
+        def bench_doc(h, seed):
+            return {
+                "generator": {
+                    "kind": "convolution",
+                    "spectrum": {"kind": "gaussian", "h": h, "clx": 24.0,
+                                 "cly": 24.0},
+                    "grid": {"nx": 512, "ny": 512, "lx": 512.0,
+                             "ly": 512.0},
+                    "truncation": [64, 64],
+                },
+                "seed": seed,
+            }
+
+        # long enough for the eight first-time generator builds
+        svc = self._service(tmp_path, linger_s=1.0)
+        try:
+            docs = [bench_doc(h, seed) for seed in (1, 2)
+                    for h in (0.5, 1.0, 1.5, 2.0)]
+            with obs.recording() as rec:
+                ids = [svc.submit(doc)["id"] for doc in docs]
+                done = [wait_complete(svc.job_doc, i) for i in ids]
+            assert [d["result"]["batched_with"] for d in done] == [4] * 8
+            for req, job_id in zip(docs, ids):
+                assert service_bytes(svc, job_id) == \
+                    reference_window(req).tobytes()
+        finally:
+            svc.close()
+        assert rec.metrics.counters("rng.")["rng.blocks_drawn"] == 32
+        spans = rec.spans()
+        batcher = {s[4] for s in spans if s[0] == "serve.batch"}
+        noise = {s[4] for s in spans if s[0] == "rng.noise"}
+        assert len(batcher) == len(noise) == 1
+        assert noise != batcher
+        assert any(s[0] == "serve.linger" and s[4] in batcher
+                   for s in spans)
+
+
 # -- HTTP end-to-end ----------------------------------------------------
 
 
@@ -433,6 +610,23 @@ class TestHttp:
             assert err["tenant"] == "flood"
         finally:
             h.close()
+
+    def test_each_request_is_spanned(self, harness):
+        from repro import obs
+
+        with obs.recording() as rec:
+            status, _ = harness.get_json("/health")
+            assert status == 200
+            status, _ = harness.get_json("/v1/jobs/nope")
+            assert status == 404
+            # a span ends just after its reply is sent
+            deadline = time.monotonic() + DEADLINE_S
+            while (sum(s[0] == "serve.request" for s in rec.spans()) < 2
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+        spans = [s for s in rec.spans() if s[0] == "serve.request"]
+        assert [(s[5]["method"], s[5]["path"]) for s in spans] == [
+            ("GET", "/health"), ("GET", "/v1/jobs/nope")]
 
     def test_status_metrics_and_list(self, harness):
         doc = spec_doc(seed=36)
