@@ -806,7 +806,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """
     import asyncio
 
-    from .serve import ServeConfig, SurfaceService, start_server
+    from .serve import ServeConfig, ServeServer, SurfaceService
 
     config = ServeConfig(
         data_dir=Path(args.data_dir),
@@ -822,7 +822,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = SurfaceService(config)
 
     async def run() -> None:
-        server = await start_server(service, host=args.host, port=args.port)
+        server = ServeServer(service, host=args.host, port=args.port)
+        await server.start()
         print(f"serve listening on {server.host}:{server.port}", flush=True)
         print("POST /v1/jobs; GET /v1/jobs/{id}[/status|/chunks/N|/heights"
               "|/result]; /status /metrics /health", flush=True)

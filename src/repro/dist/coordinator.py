@@ -40,7 +40,7 @@ from .. import obs
 from ..io.store import SurfaceStore
 from ..jobs.retry import RetryPolicy
 from ..obs.events import event, new_run_id
-from ..obs.httpd import StatusServer
+from ..obs.httpd import HttpServer
 from ..parallel.executor import _merge_tile_provenance
 from ..parallel.tiles import TilePlan
 from ..core.spec import GenerationSpec
@@ -129,7 +129,7 @@ class Coordinator:
         self.heartbeat_s = heartbeat_s
         self.tracker = RunTracker(run_id=self.run_id,
                                   heartbeat_s=heartbeat_s, clock=clock)
-        self._status_server: Optional[StatusServer] = None
+        self._status_server: Optional[HttpServer] = None
         self._status_port = status_port
         self._status_host = status_host
         # welcome payload is identical for every worker; build it once
@@ -147,12 +147,18 @@ class Coordinator:
         if self.ledger.all_done():
             self._finished.set()  # resumed run with nothing left to do
         if self._status_port is not None:
-            self._status_server = StatusServer(
+            server = HttpServer(
                 self.status_snapshot, self.metrics_snapshot,
                 extra_gauges_fn=self._status_gauges,
                 host=self._status_host, port=self._status_port,
             )
-            self._status_server.start()
+            try:
+                server.start_thread()
+            except BaseException:
+                self._listener.close()
+                self._listener = None
+                raise
+            self._status_server = server
         event("dist.run.start", run=self.run_id,
               tiles=len(self.tiles),
               pending=self.ledger.pending_count(),
@@ -229,10 +235,16 @@ class Coordinator:
               pending=self.ledger.pending_count())
         listener, self._listener = self._listener, None
         if listener is not None:
+            try:  # close() alone does not wake a thread blocked in accept()
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             listener.close()
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout=5.0)
         server, self._status_server = self._status_server, None
         if server is not None:
-            server.stop()
+            server.stop_thread()
         # handlers are daemons; give orderly worker goodbyes a moment
         for t in list(self._handlers):
             t.join(timeout=5.0)

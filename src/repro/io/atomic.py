@@ -21,11 +21,8 @@ import os
 from pathlib import Path
 from typing import Union
 
-import numpy as np
-
 __all__ = [
     "atomic_write_json",
-    "atomic_write_npz",
     "atomic_write_bytes",
     "fsync_directory",
 ]
@@ -71,23 +68,3 @@ def atomic_write_json(path: PathLike, obj: object) -> None:
     atomic_write_bytes(
         path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
     )
-
-
-def atomic_write_npz(path: PathLike, **arrays: np.ndarray) -> None:
-    """Write an uncompressed ``.npz`` of ``arrays`` atomically.
-
-    ``np.savez`` appends ``.npz`` to suffix-less names, so the temporary
-    file keeps the suffix to make the rename exact.
-    """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp.npz")
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **arrays)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        fsync_directory(path.parent)
-    finally:
-        if tmp.exists():  # only on failure before the rename
-            tmp.unlink()

@@ -39,7 +39,6 @@ from .events import (
     uninstall_event_log,
 )
 from .export import prometheus_name, prometheus_text
-from .httpd import StatusServer
 from .metrics import DEFAULT_TIME_BUCKETS, Histogram, Metrics
 from .recorder import (
     NULL_RECORDER,
@@ -90,7 +89,6 @@ __all__ = [
     "write_metrics_json",
     "EVENT_LEVELS",
     "EventLog",
-    "StatusServer",
     "event",
     "event_log_enabled",
     "event_logging",

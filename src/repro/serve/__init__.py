@@ -9,7 +9,6 @@ memmap — the server never materialises a big surface in RAM.
 
 Layered bottom-up:
 
-``http``     dependency-free asyncio HTTP/1.1 plumbing
 ``batch``    shared-spectrum batching of concurrent small requests
              onto one ``apply_kernels_valid`` pass (bit-identical to
              solo generation — see the module docstring for the proof
@@ -17,19 +16,22 @@ Layered bottom-up:
 ``service``  the HTTP-free job manager: spec validation, per-tenant
              admission (429 + Retry-After upstream), checkpointed big
              jobs, chunk reads
-``server``   the asyncio router binding it all to a socket
+``server``   the ``/v1/jobs`` routes over :class:`repro.obs.httpd.HttpServer`,
+             the asyncio HTTP/1.1 server the dist coordinator's status
+             port runs too
 
 Start one from the CLI (``repro-rrs serve``) or programmatically::
 
-    from repro.serve import ServeConfig, SurfaceService, start_server
+    from repro.serve import ServeConfig, ServeServer, SurfaceService
 
     service = SurfaceService(ServeConfig(data_dir="/tmp/serve"))
-    server = await start_server(service, port=8787)
+    server = ServeServer(service, port=8787)
+    await server.start()
 """
 
 from .batch import BatchItem, Batcher, group_key
-from .http import HttpError, Request, parse_range
-from .server import ServeServer, start_server
+from ..obs.httpd import HttpError, Request
+from .server import ServeServer, parse_range
 from .service import JOB_STATES, ServeConfig, SurfaceService, TenantBusy
 
 __all__ = [
@@ -40,7 +42,6 @@ __all__ = [
     "Request",
     "parse_range",
     "ServeServer",
-    "start_server",
     "JOB_STATES",
     "ServeConfig",
     "SurfaceService",

@@ -21,8 +21,10 @@ API (all JSON unless noted)::
     GET  /metrics                    Prometheus text
     GET  /health                     liveness
 
-The last three replies come from :func:`repro.obs.httpd.exposition_reply`,
-the builder the coordinator's status server uses too.
+:class:`ServeServer` is :class:`repro.obs.httpd.HttpServer` — the
+request reader, reply writer, keep-alive connection loop and the last
+three routes — plus the ``/v1/jobs`` routes; the dist coordinator's
+status port runs the same class without them.
 
 Tenancy rides on the ``X-Tenant`` request header (default ``public``);
 exhausted tenants get ``429`` with ``Retry-After``.  Error bodies are
@@ -34,128 +36,100 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
+from typing import Any, Awaitable, Callable, Optional, Tuple
 
-from .. import obs
 from ..core.spec import SpecError
-from ..obs.httpd import exposition_reply
-from .http import HttpError, Request, parse_range, read_request, response_head
+from ..obs.httpd import HttpError, HttpServer, Request, response_head
 from .service import SurfaceService, TenantBusy
 
-__all__ = ["ServeServer", "start_server"]
+__all__ = ["ServeServer", "parse_range"]
 
 #: Streamed-file write granularity: large enough to amortise syscalls,
 #: small enough that ``drain()`` backpressure bounds per-client memory.
 STREAM_CHUNK_BYTES = 1 << 20
 
 
-class ServeServer:
-    """One listening socket bound to one :class:`SurfaceService`."""
+def parse_range(header: Optional[str], size: int) -> Optional[Tuple[int, int]]:
+    """Resolve a ``Range: bytes=`` header against ``size`` total bytes.
+
+    Returns ``(offset, length)`` for a single satisfiable range,
+    ``None`` when no range was requested (serve the whole entity), and
+    raises ``HttpError(416)`` for unsatisfiable or multi-part ranges
+    (multi-part is deliberately unsupported: chunk endpoints give
+    clients aligned reads for free).
+    """
+    if header is None:
+        return None
+    if not header.startswith("bytes="):
+        raise HttpError(416, f"unsupported range unit in {header!r}")
+    spec = header[len("bytes="):]
+    if "," in spec:
+        raise HttpError(416, "multi-part ranges are not supported")
+    start_text, sep, end_text = spec.partition("-")
+    if not sep:
+        raise HttpError(416, f"malformed range {header!r}")
+    try:
+        if not start_text:
+            # suffix form: last N bytes
+            length = int(end_text)
+            if length <= 0:
+                raise HttpError(416, f"empty range {header!r}")
+            start = max(0, size - length)
+            end = size - 1
+        else:
+            start = int(start_text)
+            end = int(end_text) if end_text else size - 1
+    except ValueError:
+        raise HttpError(416, f"malformed range {header!r}")
+    if start >= size or end < start:
+        raise HttpError(416, f"range {header!r} outside entity "
+                             f"of {size} bytes")
+    end = min(end, size - 1)
+    return start, end - start + 1
+
+
+class ServeServer(HttpServer):
+    """One listening socket bound to one :class:`SurfaceService`: the
+    exposition routes of :class:`~repro.obs.httpd.HttpServer` plus
+    ``/v1/jobs``."""
+
+    obs_prefix = "serve"
 
     def __init__(self, service: SurfaceService, *, host: str = "127.0.0.1",
                  port: int = 0) -> None:
+        super().__init__(service.status_doc, service.metrics_doc,
+                         extra_gauges_fn=service.extra_gauges,
+                         host=host, port=port)
         self.service = service
-        self.host = host
-        self.port = port
-        self._server: Optional[asyncio.AbstractServer] = None
-
-    # -- lifecycle -----------------------------------------------------
-
-    async def start(self) -> Tuple[str, int]:
-        """Bind and listen; returns the bound ``(host, port)``."""
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
-        )
-        sock = self._server.sockets[0]
-        self.host, self.port = sock.getsockname()[:2]
-        obs.event("serve.listen", host=self.host, port=self.port)
-        return self.host, self.port
-
-    async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        await self._server.serve_forever()
-
-    # -- connection loop -----------------------------------------------
-
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except HttpError as exc:
-                    await self._reply_error(writer, exc)
-                    break
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                if request is None:
-                    break
-                with obs.trace("serve.request", {
-                    "method": request.method, "path": request.path,
-                } if obs.enabled() else None):
-                    try:
-                        keep = await self._dispatch(request, writer)
-                    except HttpError as exc:
-                        await self._reply_error(writer, exc)
-                        keep = request.keep_alive
-                    except (ConnectionError, asyncio.CancelledError):
-                        break
-                    except Exception as exc:  # never kill the acceptor
-                        obs.event("serve.error", path=request.path,
-                                  error=repr(exc))
-                        await self._reply_error(
-                            writer,
-                            HttpError(500, f"internal error: {exc!r}"))
-                        keep = False
-                if not keep or not request.keep_alive:
-                    break
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
 
     async def _dispatch(self, request: Request,
                         writer: asyncio.StreamWriter) -> bool:
         """Route one request; returns whether to keep the connection."""
         method, path = request.method, request.path.rstrip("/") or "/"
         parts = [p for p in path.split("/") if p]
+        if parts[:2] != ["v1", "jobs"]:
+            return await super()._dispatch(request, writer)
         handler: Optional[Callable[..., Awaitable[bool]]] = None
         args: tuple = ()
-        reply = exposition_reply(method, path, self.service.status_doc,
-                                 self.service.metrics_doc,
-                                 self.service.extra_gauges)
-        if reply is not None:
-            code, content_type, body = reply
-            return await self._reply(writer, code, body,
-                                     content_type=content_type,
-                                     head_only=method == "HEAD")
-        if parts[:2] == ["v1", "jobs"]:
-            rest = parts[2:]
-            if not rest:
-                handler = (self._h_submit if method == "POST"
-                           else self._h_list)
-            elif len(rest) == 1:
-                handler, args = self._h_job, (rest[0],)
-            elif len(rest) == 2 and rest[1] == "status":
-                handler, args = self._h_job_status, (rest[0],)
-            elif len(rest) == 2 and rest[1] == "chunks":
-                handler, args = self._h_chunk_meta, (rest[0],)
-            elif len(rest) == 3 and rest[1] == "chunks":
-                handler, args = self._h_chunk, (rest[0], rest[2])
-            elif len(rest) == 2 and rest[1] == "heights":
-                handler, args = self._h_heights, (rest[0],)
-            elif len(rest) == 2 and rest[1] == "result":
-                handler, args = self._h_result, (rest[0],)
-            elif len(rest) == 2 and rest[1] == "verify":
-                handler, args = self._h_verify, (rest[0],)
+        rest = parts[2:]
+        if not rest:
+            handler = (self._h_submit if method == "POST"
+                       else self._h_list)
+        elif len(rest) == 1:
+            handler, args = self._h_doc, (self.service.job_doc, rest[0])
+        elif len(rest) == 2 and rest[1] == "status":
+            handler, args = self._h_doc, (self.service.job_status_doc,
+                                          rest[0])
+        elif len(rest) == 2 and rest[1] == "chunks":
+            handler, args = self._h_doc, (self.service.chunk_meta, rest[0])
+        elif len(rest) == 3 and rest[1] == "chunks":
+            handler, args = self._h_chunk, (rest[0], rest[2])
+        elif len(rest) == 2 and rest[1] == "heights":
+            handler, args = self._h_heights, (rest[0],)
+        elif len(rest) == 2 and rest[1] == "result":
+            handler, args = self._h_result, (rest[0],)
+        elif len(rest) == 2 and rest[1] == "verify":
+            handler, args = self._h_verify, (rest[0],)
         if handler is None:
             raise HttpError(404, f"no route for {request.path!r}")
         if method not in ("GET", "POST", "HEAD"):
@@ -164,42 +138,6 @@ class ServeServer:
         if method == "POST" and handler.__func__ is not ServeServer._h_submit:
             raise HttpError(405, "POST only accepted at /v1/jobs")
         return await handler(request, writer, *args)
-
-    # -- reply helpers -------------------------------------------------
-
-    @staticmethod
-    async def _reply(writer: asyncio.StreamWriter, status: int, body: bytes,
-                     *, content_type: str = "application/json",
-                     headers: Optional[Dict[str, str]] = None,
-                     head_only: bool = False) -> bool:
-        hdrs = {
-            "Content-Type": content_type,
-            "Content-Length": str(len(body)),
-            "Accept-Ranges": "bytes",
-        }
-        if headers:
-            hdrs.update(headers)
-        writer.write(response_head(status, hdrs))
-        if not head_only:
-            writer.write(body)
-        await writer.drain()
-        return True
-
-    async def _reply_json(self, writer: asyncio.StreamWriter, status: int,
-                          doc: Any, *, headers: Optional[Dict[str, str]] = None,
-                          head_only: bool = False) -> bool:
-        body = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
-        return await self._reply(writer, status, body, headers=headers,
-                                 head_only=head_only)
-
-    async def _reply_error(self, writer: asyncio.StreamWriter,
-                           exc: HttpError) -> None:
-        doc = {"error": exc.message, "status": exc.status, **exc.extra}
-        try:
-            await self._reply_json(writer, exc.status, doc,
-                                   headers=exc.headers)
-        except (ConnectionError, OSError):
-            pass
 
     @staticmethod
     def _tenant(request: Request) -> str:
@@ -236,30 +174,11 @@ class ServeServer:
             head_only=request.method == "HEAD",
         )
 
-    async def _h_job(self, request: Request, writer: asyncio.StreamWriter,
-                     job_id: str) -> bool:
+    async def _h_doc(self, request: Request, writer: asyncio.StreamWriter,
+                     doc_fn: Callable[[str], Any], job_id: str) -> bool:
+        """Reply with ``doc_fn(job_id)``: a job, its status or its chunks."""
         try:
-            doc = self.service.job_doc(job_id)
-        except KeyError as exc:
-            raise HttpError(404, str(exc))
-        return await self._reply_json(writer, 200, doc,
-                                      head_only=request.method == "HEAD")
-
-    async def _h_job_status(self, request: Request,
-                            writer: asyncio.StreamWriter,
-                            job_id: str) -> bool:
-        try:
-            doc = self.service.job_status_doc(job_id)
-        except KeyError as exc:
-            raise HttpError(404, str(exc))
-        return await self._reply_json(writer, 200, doc,
-                                      head_only=request.method == "HEAD")
-
-    async def _h_chunk_meta(self, request: Request,
-                            writer: asyncio.StreamWriter,
-                            job_id: str) -> bool:
-        try:
-            doc = self.service.chunk_meta(job_id)
+            doc = doc_fn(job_id)
         except KeyError as exc:
             raise HttpError(404, str(exc))
         return await self._reply_json(writer, 200, doc,
@@ -367,10 +286,3 @@ class ServeServer:
         return await self._reply_json(writer, 200, doc,
                                       head_only=request.method == "HEAD")
 
-
-async def start_server(service: SurfaceService, *, host: str = "127.0.0.1",
-                       port: int = 0) -> ServeServer:
-    """Create, bind and return a running :class:`ServeServer`."""
-    server = ServeServer(service, host=host, port=port)
-    await server.start()
-    return server

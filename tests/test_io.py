@@ -246,25 +246,6 @@ class TestDirectoryFsync:
         assert any(stat.S_ISDIR(mode) for mode in synced)
         assert any(stat.S_ISREG(mode) for mode in synced)
 
-    def test_npz_write_fsyncs_the_directory(self, tmp_path, monkeypatch):
-        import os
-        import stat
-
-        import numpy as np
-
-        from repro.io import atomic
-
-        synced = []
-        real_fsync = os.fsync
-
-        def recording_fsync(fd):
-            synced.append(os.fstat(fd).st_mode)
-            return real_fsync(fd)
-
-        monkeypatch.setattr(atomic.os, "fsync", recording_fsync)
-        atomic.atomic_write_npz(tmp_path / "a.npz", x=np.arange(3))
-        assert any(stat.S_ISDIR(mode) for mode in synced)
-
     def test_fsync_directory_tolerates_missing_path(self, tmp_path):
         from repro.io.atomic import fsync_directory
 

@@ -9,6 +9,7 @@ bytes == direct generation bytes), never timing.
 
 import io
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -23,10 +24,10 @@ from repro.parallel.executor import generate_tiled
 from repro.serve import (
     HttpError,
     ServeConfig,
+    ServeServer,
     SurfaceService,
     TenantBusy,
     parse_range,
-    start_server,
 )
 
 pytestmark = pytest.mark.serve
@@ -405,32 +406,35 @@ class TestNoiseAhead:
 # -- HTTP end-to-end ----------------------------------------------------
 
 
+def _read_to_eof(sock):
+    chunks = []
+    while True:
+        piece = sock.recv(1 << 16)
+        if not piece:
+            return b"".join(chunks)
+        chunks.append(piece)
+
+
 class _Harness:
-    """Run the asyncio server on a background loop; client via urllib."""
+    """Run the front door on its own loop thread; client via urllib."""
 
     def __init__(self, config):
-        import asyncio
-
         self.service = SurfaceService(config)
-        self.loop = asyncio.new_event_loop()
-        self.thread = threading.Thread(target=self.loop.run_forever,
-                                       daemon=True)
-        self.thread.start()
-        self.server = asyncio.run_coroutine_threadsafe(
-            start_server(self.service), self.loop
-        ).result(10)
-        self.url = f"http://{self.server.host}:{self.server.port}"
+        self.server = ServeServer(self.service)
+        host, port = self.server.start_thread()
+        self.url = f"http://{host}:{port}"
 
     def close(self):
-        import asyncio
-
-        asyncio.run_coroutine_threadsafe(
-            self.server.close(), self.loop
-        ).result(10)
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self.thread.join(10)
-        self.loop.close()
+        self.server.stop_thread()
         self.service.close()
+
+    def raw(self, data):
+        """Send ``data``, half-close, and return every byte replied."""
+        with socket.create_connection(self.server.address,
+                                      timeout=30) as sock:
+            sock.sendall(data)
+            sock.shutdown(socket.SHUT_WR)
+            return _read_to_eof(sock)
 
     def request(self, path, method="GET", body=None, headers=None):
         req = urllib.request.Request(
@@ -610,6 +614,40 @@ class TestHttp:
             assert err["tenant"] == "flood"
         finally:
             h.close()
+
+    def test_transfer_encoding_is_501_and_closes(self, harness):
+        reply = harness.raw(
+            b"POST /v1/jobs HTTP/1.1\r\nHost: t\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            b"5\r\nhello\r\n0\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 501 Not Implemented\r\n")
+        assert b"Connection: close\r\n" in reply
+        # one reply: the chunk stream was never read as a request
+        assert reply.count(b"HTTP/1.1 ") == 1
+
+    @pytest.mark.parametrize("lengths", [("0", "5"), ("+5",), ("5, 5",)])
+    def test_unframeable_content_length_is_400_and_closes(self, harness,
+                                                          lengths):
+        head = "".join(f"Content-Length: {n}\r\n" for n in lengths)
+        reply = harness.raw(b"GET /health HTTP/1.1\r\nHost: t\r\n"
+                            + head.encode() + b"\r\nhello")
+        assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert reply.count(b"HTTP/1.1 ") == 1
+
+    def test_head_error_reply_has_no_body(self, harness):
+        reply = harness.raw(b"HEAD /nope HTTP/1.1\r\nHost: t\r\n\r\n"
+                            b"GET /health HTTP/1.1\r\nHost: t\r\n\r\n")
+        head, _, rest = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 404 Not Found\r\n")
+        # the next reply starts right after the 404's head
+        assert rest.startswith(b"HTTP/1.1 200 OK\r\n")
+
+    def test_repeated_equal_content_length_is_one_body(self, harness):
+        reply = harness.raw(b"GET /health HTTP/1.1\r\nHost: t\r\n"
+                            b"Content-Length: 5\r\nContent-Length: 5\r\n"
+                            b"\r\nhello")
+        assert reply.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert reply.count(b"HTTP/1.1 ") == 1
 
     def test_each_request_is_spanned(self, harness):
         from repro import obs

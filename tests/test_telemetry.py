@@ -18,10 +18,13 @@ Set ``REPRO_EVENT_LOG_DIR`` to keep the live run's JSONL event log
 
 from __future__ import annotations
 
+import http.client
 import io
 import json
 import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.request
@@ -48,7 +51,7 @@ from repro.io.store import SurfaceStore
 from repro.jobs.faults import FaultSpec
 from repro.obs.events import EventLog, new_run_id
 from repro.obs.export import prometheus_name, prometheus_text
-from repro.obs.httpd import StatusServer
+from repro.obs.httpd import HttpServer
 from repro.parallel.executor import generate_tiled
 from repro.parallel.tiles import TilePlan
 
@@ -338,7 +341,7 @@ class TestHeartbeatFraming:
 # ---------------------------------------------------------------------------
 class TestStatusServer:
     def _server(self, doc=None, metrics=None, **kw):
-        return StatusServer(
+        return HttpServer(
             lambda: doc if doc is not None else {"state": "running"},
             lambda: metrics if metrics is not None else
             {"counters": {"dist.heartbeats": 4}},
@@ -349,7 +352,7 @@ class TestStatusServer:
         doc = {"schema": STATUS_SCHEMA, "state": "running",
                "tiles": {"total": 4, "done": 1}}
         server = self._server(doc=doc)
-        host, port = server.start()
+        host, port = server.start_thread()
         try:
             code, ctype, body = _get(f"http://{host}:{port}/health")
             assert code == 200 and json.loads(body) == {"ok": True}
@@ -362,54 +365,69 @@ class TestStatusServer:
             with pytest.raises(urllib.request.HTTPError) as err:
                 _get(f"http://{host}:{port}/nope")
             assert err.value.code == 404
+            with err.value:
+                assert json.loads(err.value.read())["status"] == 404
         finally:
-            server.stop()
+            server.stop_thread()
 
     def test_extra_gauges_reach_metrics(self):
         server = self._server(
             metrics={"counters": {}},
             extra_gauges_fn=lambda: {"dist.status.progress": 0.5},
         )
-        host, port = server.start()
+        host, port = server.start_thread()
         try:
             _, _, body = _get(f"http://{host}:{port}/metrics")
             assert "repro_dist_status_progress 0.5" in body.decode()
         finally:
-            server.stop()
+            server.stop_thread()
 
     def test_snapshot_exception_is_a_500_not_a_crash(self):
         def boom():
             raise RuntimeError("snapshot bug")
 
-        server = StatusServer(boom, lambda: {})
-        host, port = server.start()
+        server = HttpServer(boom, lambda: {})
+        host, port = server.start_thread()
         try:
             with pytest.raises(urllib.request.HTTPError) as err:
                 _get(f"http://{host}:{port}/status")
+            err.value.close()
             assert err.value.code == 500
             # the serve loop survives: the next request still answers
             code, _, _ = _get(f"http://{host}:{port}/health")
             assert code == 200
         finally:
-            server.stop()
+            server.stop_thread()
+
+
+def test_import_repro_loads_no_http_module():
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = ("import sys, repro; print(sorted(m for m in "
+            "('http.server', 'asyncio', 'repro.obs.httpd') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.fixture(scope="module")
 def exposition_servers(tmp_path_factory):
-    """A coordinator-style StatusServer and a live ServeServer."""
+    """A live coordinator's status port and a live ServeServer."""
     from repro.serve import ServeConfig
 
     from .test_serve import _Harness
 
-    status = StatusServer(lambda: {"state": "running"},
-                          lambda: {"counters": {"dist.heartbeats": 1}})
-    host, port = status.start()
+    coord, store = _idle_coordinator(tmp_path_factory.mktemp("coord"))
+    coord.start()
+    host, port = coord.status_address
     serve = _Harness(ServeConfig(data_dir=tmp_path_factory.mktemp("serve")))
     try:
         yield [f"http://{host}:{port}", serve.url]
     finally:
         serve.close()
-        status.stop()
+        _stop(coord, store)
 
 
 @pytest.mark.parametrize("path", ["/health", "/status", "/status/",
@@ -465,6 +483,79 @@ def _store_for(tmp_path, name, n, tile, grid):
         tmp_path / name, shape=(n, n), chunk=(tile, tile),
         dx=grid.dx, dy=grid.dy, meta={},
     )
+
+
+def _idle_coordinator(tmp_path, status_port=0):
+    """A worker-less coordinator over a 2x2-tile store (not started)."""
+    gen, recipe, noise, plan, grid = _problem(64, 32, seed=31)
+    store = _store_for(tmp_path, "idle", 64, 32, grid)
+    spec = _spec(recipe, noise, plan, store_path=str(store.path))
+    return Coordinator(spec, plan, store, status_port=status_port), store
+
+
+def _stop(coord, store):
+    """End a worker-less run: abort it, and let ``serve`` shut it down."""
+    coord.abort(RuntimeError("run stopped by the test"))
+    try:
+        with pytest.raises(RuntimeError, match="stopped by the test"):
+            coord.serve(timeout=10.0)
+    finally:
+        store.close()
+
+
+class TestCoordinatorStatusPort:
+    """The coordinator runs the one HTTP server on a loop thread."""
+
+    def test_stop_with_idle_keepalive_client_is_prompt(self, tmp_path):
+        before = set(threading.enumerate())
+        coord, store = _idle_coordinator(tmp_path)
+        coord.start()
+        conn = http.client.HTTPConnection(*coord.status_address,
+                                          timeout=5.0)
+        try:
+            conn.request("GET", "/health")
+            resp = conn.getresponse()
+            assert resp.status == 200
+            assert json.loads(resp.read()) == {"ok": True}
+            # the connection stays open and idle across the stop
+            t0 = time.monotonic()
+            _stop(coord, store)
+            assert time.monotonic() - t0 <= 1.0
+            assert set(threading.enumerate()) <= before
+            assert coord.status_address is None
+        finally:
+            conn.close()
+
+    def test_status_port_in_use_raises_and_leaves_no_thread(self, tmp_path):
+        before = set(threading.enumerate())
+        with socket.create_server(("127.0.0.1", 0)) as busy:
+            coord, store = _idle_coordinator(
+                tmp_path, status_port=busy.getsockname()[1])
+            try:
+                with pytest.raises(OSError):
+                    coord.start()
+            finally:
+                store.close()
+        assert set(threading.enumerate()) <= before
+        assert coord.status_address is None
+        # the worker port bound before the status port is released too
+        socket.create_server(coord.address).close()
+
+    def test_malformed_request_is_400_and_server_lives(self, tmp_path):
+        from .test_serve import _read_to_eof
+
+        coord, store = _idle_coordinator(tmp_path)
+        coord.start()
+        host, port = coord.status_address
+        try:
+            with socket.create_connection((host, port), timeout=5.0) as sock:
+                sock.sendall(b"NOT AN HTTP REQUEST\r\n\r\n")
+                reply = _read_to_eof(sock)  # the server closes after it
+            assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+            code, _, body = _get(f"http://{host}:{port}/health")
+            assert code == 200 and json.loads(body) == {"ok": True}
+        finally:
+            _stop(coord, store)
 
 
 class TestLiveTelemetry:
@@ -648,12 +739,12 @@ class TestTopCommand:
                  "utilization": 0.32, "last_seen_age_s": 0.2},
             ],
         }
-        server = StatusServer(lambda: doc, lambda: {})
-        host, port = server.start()
+        server = HttpServer(lambda: doc, lambda: {})
+        host, port = server.start_thread()
         try:
             rc = cli_main(["top", "--connect", f"{host}:{port}", "--once"])
         finally:
-            server.stop()
+            server.stop_thread()
         assert rc == 0
         out = capsys.readouterr().out
         assert "run r-top" in out
@@ -665,13 +756,13 @@ class TestTopCommand:
     def test_top_json_mode_emits_the_document(self, capsys):
         doc = {"schema": STATUS_SCHEMA, "state": "complete",
                "tiles": {"total": 2, "done": 2}}
-        server = StatusServer(lambda: doc, lambda: {})
-        host, port = server.start()
+        server = HttpServer(lambda: doc, lambda: {})
+        host, port = server.start_thread()
         try:
             rc = cli_main(["top", "--connect", f"{host}:{port}",
                            "--once", "--json"])
         finally:
-            server.stop()
+            server.stop_thread()
         assert rc == 0
         assert json.loads(capsys.readouterr().out) == doc
 
